@@ -6,7 +6,7 @@ ToR crashes — taking every member node out at the same instant. These
 helpers expand a rack-level event into the explicit per-member
 :class:`~repro.faults.NodeCrash` group the existing fault machinery
 executes, so both simulation tiers (the DES injector and the fast
-tier's :class:`~repro.fastpath.fastcluster.FaultTimeline`) replay the
+tier's :class:`~repro.fastpath.loop.FaultTimeline`) replay the
 correlated outage with zero new event types.
 
 Both helpers produce the same member-crash group; the distinction is

@@ -1,23 +1,22 @@
-"""Fast-tier datacenter engine: two-level routing on the calendar queue.
+"""Fast-tier datacenter front-end: two-level routing on the shared loop.
 
-The vectorized rack engine (:mod:`repro.fastpath.fastcluster`) knows one
-rack; this module is its rack-of-racks sibling. Routing is inherently
+The rack front-end (:mod:`repro.fastpath.fastcluster`) knows one rack;
+this module is its rack-of-racks sibling. Routing is inherently
 state-dependent here — every hierarchy model reads live per-node and
-per-rack outstanding counts — so the whole run is one sequential event
-loop in the fastcluster style: batched arrival/service sampling, a
-:class:`~repro.fastpath.calendar.CalendarQueue` for departures, a
-:class:`~repro.fastpath.fastcluster.FaultTimeline` for materialized
-fault plans, and per-node server-free-time heaps (every node runs the
-paper's 1x16 single-queue scheme, the RPCValet configuration).
+per-rack outstanding counts — so every run goes through the fast
+tier's one sequential loop (:func:`repro.fastpath.loop.run_loop`),
+which also owns batching, fault timelines, departures and result
+assembly. Every node runs the paper's 1x16 single-queue scheme, the
+RPCValet configuration.
 
 Fidelity notes, matching the DES cross-check in ``ext-datacenter``:
 
 * **Calibration** — per-RPC fixed overhead comes from the same 2-node
-  light-load DES probe recipe as the rack engine, but run with the
-  topology's :class:`~repro.datacenter.topology.NodeProfile` costs and
-  chip config, so the ``nanopu`` profile is anchored against a DES
-  that actually runs the reduced NI-bypass latencies (not an ad-hoc
-  scale on the baseline calibration).
+  light-load DES probe as the rack engine, run with the topology's
+  :class:`~repro.datacenter.topology.NodeProfile` costs and chip
+  config, so the ``nanopu`` profile is anchored against a DES that
+  actually runs the reduced NI-bypass latencies (not an ad-hoc scale
+  on the baseline calibration).
 * **JBSQ(k)** — the ToR hold queue is modeled exactly: a rack whose
   least-loaded member sits at the bound holds the RPC at the ToR
   (counted in the rack's aggregate signal) and late-binds it to the
@@ -33,17 +32,12 @@ Fidelity notes, matching the DES cross-check in ``ext-datacenter``:
 
 from __future__ import annotations
 
-import heapq
-import math
-from functools import lru_cache
-from typing import Dict, List, Optional
-
-import numpy as np
+from collections import deque
+from typing import Dict, Optional
 
 from ..cluster.cluster import ClusterResult
-from ..fastpath.calendar import CalendarQueue
-from ..fastpath.fastcluster import FaultTimeline, calibrated_scheme_profile
-from ..metrics import LatencySummary
+from ..fastpath.calibration import light_load_overhead_ns
+from ..fastpath.loop import FaultTimeline, build_result, check_scenario, run_loop, sample_requests
 from ..rack.router import RouterStats
 from .schedulers import DEFAULT_JBSQ_K, make_scheduler
 from .topology import DatacenterTopology, node_profile
@@ -54,45 +48,19 @@ __all__ = [
 ]
 
 
-def _profile_probe_overhead_ns(profile_name: str, cores: int, probe_seed: int) -> float:
-    """Light-load DES probe with the profile's costs/config installed."""
-    from ..balancing import SingleQueue
-    from ..cluster import Cluster
-    from ..workloads import HerdWorkload
-
-    profile = node_profile(profile_name)
-    workload = HerdWorkload()
-    cluster = Cluster(
-        num_nodes=2,
-        scheme_factory=SingleQueue,
-        workload=workload,
-        config=profile.chip_config(),
-        costs=profile.costs(),
-        seed=probe_seed,
-        core_counts=[cores, cores],
-    )
-    result = cluster.run(per_node_mrps=2.0, requests_per_node=600)
-    return max(result.aggregate.mean - workload.mean_processing_ns, 0.0)
-
-
-@lru_cache(maxsize=None)
 def calibrated_profile_overhead_ns(
     profile_name: str, cores: int = 16, probe_seed: int = 0
 ) -> float:
     """DES-anchored fixed per-RPC overhead for one node profile.
 
-    The baseline profile delegates to the rack engine's cached 1x16
-    probe (identical scenario), so datacenter and rack sweeps share one
-    calibration; other profiles run the probe with their own scaled
-    cost objects. 1x16's occupancy ≈ total overhead (the shared-queue
-    waits are insensitive to the occupancy/shift split — see
+    The light-load 1x16 probe, run with the profile's costs and chip
+    config; the baseline profile shares the rack engine's cached probe.
+    1x16's occupancy ≈ total overhead (the shared-queue waits are
+    insensitive to the occupancy/shift split — see
     :func:`~repro.fastpath.fastcluster.calibrated_scheme_profile`), so
     a single number suffices.
     """
-    if node_profile(profile_name) == node_profile("baseline"):
-        occupancy, shift = calibrated_scheme_profile("1x16", cores, probe_seed)
-        return occupancy + shift
-    return _profile_probe_overhead_ns(profile_name, cores, probe_seed)
+    return light_load_overhead_ns(node_profile(profile_name), "1x16", cores, probe_seed)
 
 
 def simulate_datacenter_fast(
@@ -120,242 +88,77 @@ def simulate_datacenter_fast(
     (JBSQ ``holds``/``max_outstanding``; used by the bound-invariant
     tests and the driver's hold column).
     """
-    if per_node_mrps <= 0 or requests_per_node <= 0:
-        raise ValueError("per_node_mrps and requests_per_node must be positive")
-    from ..workloads import HerdWorkload
-
     num_nodes = topology.num_nodes
-    num_racks = topology.num_racks
-    rack_of = [topology.rack_of(node) for node in range(num_nodes)]
-    speeds = np.asarray(topology.speed_factors, dtype=float)
-
-    profile = (
-        node_profile("nanopu") if hierarchy == "nanopu" else topology.profile
-    )
+    node_cores = [cores] * num_nodes
+    speeds = topology.speed_factors
+    check_scenario(num_nodes, per_node_mrps, requests_per_node, warmup_fraction, node_cores, speeds)
+    profile = node_profile("nanopu") if hierarchy == "nanopu" else topology.profile
     overhead = calibrated_profile_overhead_ns(profile.name, cores)
 
-    scheduler = make_scheduler(
-        hierarchy, topology, policy=policy, skew=skew, jbsq_k=jbsq_k
-    )
-    scheduler.set_capacities(
-        [cores * float(speeds[node]) for node in range(num_nodes)]
-    )
+    scheduler = make_scheduler(hierarchy, topology, policy=policy, skew=skew, jbsq_k=jbsq_k)
+    scheduler.set_capacities([cores * float(speed) for speed in speeds])
     bound = scheduler.bound_k
 
-    workload = HerdWorkload()
-    arrival_rng, service_rng, route_rng = (
-        np.random.default_rng(child)
-        for child in np.random.SeedSequence(seed).spawn(3)
-    )
+    requests = sample_requests(num_nodes, requests_per_node, per_node_mrps, arrival_process, seed)
+    times, _clients, _processing, rng = requests
+    timeline = FaultTimeline.of(faults, num_nodes, times, seed)
 
-    # Batched per-client arrival streams, merged with one stable sort
-    # (the fastcluster recipe, verbatim).
-    n = requests_per_node
-    mean_gap_ns = 1e3 / per_node_mrps
-    if arrival_process is not None:
-        mean_rate = arrival_process.mean_rate_rps
-        if mean_rate > 0:
-            mean_gap_ns = 1e9 / mean_rate
-        gaps = np.stack(
-            [arrival_process.sample_gaps(arrival_rng, n) for _ in range(num_nodes)]
-        )
-    else:
-        gaps = arrival_rng.exponential(mean_gap_ns, size=(num_nodes, n))
-    flat_times = np.cumsum(gaps, axis=1).ravel()
-    flat_clients = np.repeat(np.arange(num_nodes), n)
-    order = np.argsort(flat_times, kind="stable")
-    times = flat_times[order]
-    clients = flat_clients[order]
-
-    processing = np.empty(num_nodes * n)
-    for client in range(num_nodes):
-        samples, _labels = workload.sample_batch(service_rng, n)
-        processing[client * n : (client + 1) * n] = samples
-    processing = processing[order]
-
-    total = times.size
-    timeline: Optional[FaultTimeline] = None
-    if faults is not None and not getattr(faults, "is_trivial", False):
-        timeline = FaultTimeline(faults, num_nodes, float(times[-1]), seed)
-
-    dsts = np.empty(total, dtype=np.int64)
-    sojourns = np.empty(total)
-    departures = np.empty(total)
-    dropped = np.zeros(total, dtype=bool) if timeline is not None else None
-
+    rack_of = [topology.rack_of(node) for node in range(num_nodes)]
     outstanding = [0] * num_nodes
     #: Per-rack aggregate the spine reads: dispatched + ToR-held.
-    rack_load = [0] * num_racks
-    free_heaps = [[0.0] * cores for _ in range(num_nodes)]
-    for heap in free_heaps:
-        heapq.heapify(heap)
-    hold: List[List[tuple]] = [[] for _ in range(num_racks)]
+    rack_load = [0] * topology.num_racks
+    hold = [deque() for _ in range(topology.num_racks)]
     holds = 0
     max_outstanding = 0
+    choose = scheduler.choose
 
-    calendar = CalendarQueue(bucket_width=max(mean_gap_ns / num_nodes, 1.0))
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    recoveries = timeline.recoveries if timeline is not None else []
-    recovery_cursor = 0
+    def route(index: int, client: int, now: float) -> int:
+        return choose(client, outstanding, rack_load, rng)
 
-    def submit(index: int, start_at: float, dst: int, entered_at: float) -> None:
-        """Dispatch one RPC to ``dst``; sojourn clock runs from entry.
-
-        ``entered_at`` is when the RPC entered the datapath (arrival,
-        plus any fabric spike); a JBSQ hold keeps that clock running,
-        so held time is paid on the sojourn like the real ToR queue.
-        """
-        nonlocal max_outstanding
-        if outstanding[dst] > max_outstanding:
-            max_outstanding = outstanding[dst]
-        speed = speeds[dst]
-        if timeline is not None:
-            speed *= timeline.speed_factor(dst, start_at)
-        service = processing[index] / speed + overhead
-        heap = free_heaps[dst]
-        free = heappop(heap)
-        depart = (start_at if start_at > free else free) + service
-        heappush(heap, depart)
-        dsts[index] = dst
-        departures[index] = depart
-        sojourns[index] = depart - entered_at
-        calendar.push(depart, (dst, index))
-
-    def drain(upto: float) -> None:
-        nonlocal holds
-        while calendar:
-            when = calendar.peek_time()
-            if when > upto:
-                return
-            when, (done_node, _done_index) = calendar.pop()
-            outstanding[done_node] -= 1
-            rack = rack_of[done_node]
-            rack_load[rack] -= 1
-            if bound is not None:
-                queue = hold[rack]
-                if queue and outstanding[done_node] < bound:
-                    # Late binding: the freed member is by construction
-                    # the rack's first slot below the bound, so the
-                    # oldest held RPC binds to it at the free instant.
-                    next_index, entered_at = queue.pop(0)
-                    outstanding[done_node] += 1
-                    submit(next_index, when, done_node, entered_at)
-
-    for index in range(total):
-        now = times[index]
-        client = int(clients[index])
-        while (
-            recovery_cursor < len(recoveries)
-            and recoveries[recovery_cursor][0] <= now
-        ):
-            # Recovery boundary: the outage froze the node's servers,
-            # so nothing can start before this instant (fastcluster's
-            # heap surgery).
-            rec_time, rec_node = recoveries[recovery_cursor]
-            recovery_cursor += 1
-            heap = free_heaps[rec_node]
-            for lane, free in enumerate(heap):
-                if free < rec_time:
-                    heap[lane] = rec_time
-            heapq.heapify(heap)
-        drain(now)
-
-        dst = scheduler.choose(client, outstanding, rack_load, route_rng)
-
-        entered_at = now
-        if timeline is not None:
-            # Fabric traversal first, then delivery-time liveness — the
-            # DES injector's order. Dropped requests never count toward
-            # load signals or server work.
-            fabric_drop, spike_delay = timeline.fabric_fate(now)
-            entered_at = now + spike_delay
-            if fabric_drop or timeline.node_down(dst, entered_at):
-                if not fabric_drop:
-                    timeline.stats.crash_drops += 1
-                dropped[index] = True
-                dsts[index] = dst
-                departures[index] = now
-                sojourns[index] = math.nan
-                continue
-
+    def admit(index: int, client: int, dst: int, entered_at: float) -> bool:
+        nonlocal holds, max_outstanding
         rack = rack_of[dst]
+        rack_load[rack] += 1
         if bound is not None and outstanding[dst] >= bound:
             # The rack's least-loaded member is at the bound: every
             # member is full, so the ToR holds the RPC (still counted
             # in the rack aggregate the spine reads).
             holds += 1
-            rack_load[rack] += 1
             hold[rack].append((index, entered_at))
-        else:
-            outstanding[dst] += 1
-            rack_load[rack] += 1
-            submit(index, entered_at, dst, entered_at)
+            return False
+        load = outstanding[dst] + 1
+        outstanding[dst] = load
+        if load > max_outstanding:
+            max_outstanding = load
+        return True
 
-    drain(float("inf"))
-    assert all(not queue for queue in hold), "ToR hold queues must drain"
+    def release(when: float, dst: int, client: int):
+        outstanding[dst] -= 1
+        rack = rack_of[dst]
+        rack_load[rack] -= 1
+        if bound is not None:
+            queue = hold[rack]
+            if queue and outstanding[dst] < bound:
+                # Late binding: the freed member is by construction the
+                # rack's first slot below the bound, so the oldest held
+                # RPC binds to it at the free instant.
+                outstanding[dst] += 1
+                return queue.popleft()
+        return None
 
-    skip = int(total * warmup_fraction)
-    kept_sojourns = sojourns[skip:]
-    kept_dsts = dsts[skip:]
-    if dropped is not None:
-        kept_ok = ~dropped[skip:]
-        kept_sojourns = kept_sojourns[kept_ok]
-        kept_dsts = kept_dsts[kept_ok]
-    aggregate = LatencySummary.from_values(kept_sojourns)
-    per_node = [
-        LatencySummary.from_values(kept_sojourns[kept_dsts == node])
-        if np.any(kept_dsts == node)
-        else LatencySummary.empty()
-        for node in range(num_nodes)
-    ]
-
-    elapsed_ns = float(departures.max())
-    routed_counts = np.bincount(dsts, minlength=num_nodes)
-    stats = RouterStats(
-        policy=scheduler.label,
-        signal="fresh",
-        skew=skew,
-        routed=[int(count) for count in routed_counts],
-        decisions=total,
+    dsts, sojourns, departures, dropped = run_loop(
+        requests, route, admit, release, node_cores, speeds,
+        [overhead] * num_nodes, [0.0] * num_nodes, timeline=timeline,
     )
-
-    snapshot = None
-    if telemetry:
-        from ..fastpath.fastcluster import _build_snapshot
-
-        snapshot = _build_snapshot(routed_counts, None)
-
-    lost = int(np.count_nonzero(dropped)) if dropped is not None else 0
-    completed = total - lost
-    throughput = completed / elapsed_ns * 1e3 if elapsed_ns > 0 else 0.0
-    availability = None
-    fault_stats = None
-    if timeline is not None:
-        availability = timeline.finalize(elapsed_ns, total, lost)
-        fault_stats = timeline.stats
-        completed_counts = np.bincount(dsts[~dropped], minlength=num_nodes)
-    else:
-        completed_counts = routed_counts
+    assert all(not queue for queue in hold), "ToR hold queues must drain"
 
     if _audit is not None:
         _audit["holds"] = holds
         _audit["max_outstanding"] = max_outstanding
         _audit["bound_k"] = bound
 
-    return ClusterResult(
-        num_nodes=num_nodes,
-        aggregate=aggregate,
-        per_node=per_node,
-        total_throughput_mrps=throughput,
-        stall_fractions=[0.0] * num_nodes,
-        completed=completed,
-        per_node_completed=[int(count) for count in completed_counts],
-        router_stats=stats,
-        telemetry=snapshot,
-        offered=total if timeline is not None else 0,
-        lost=lost,
-        goodput_mrps=throughput if timeline is not None else 0.0,
-        availability=availability,
-        fault_stats=fault_stats,
+    stats = RouterStats(policy=scheduler.label, signal="fresh", skew=skew)
+    return build_result(
+        num_nodes, dsts, sojourns, departures, dropped, [0] * num_nodes,
+        requests_per_node, warmup_fraction, timeline, stats, telemetry=telemetry,
     )

@@ -629,8 +629,8 @@ def run_datacenter(
         )
     if resolved != "des":
         findings.append(
-            f"engine={resolved}: sequential calendar-queue surrogate "
-            "sharing the DES's scheduler objects (ground truth: "
+            f"engine={resolved}: the fast tier's shared sequential loop "
+            "driving the DES's scheduler objects (ground truth: "
             "--engine des)"
         )
 

@@ -8,9 +8,12 @@ two cheaper tiers, selectable per run through ``engine=``:
 * ``fast`` (:mod:`repro.fastpath.fastcluster`,
   :mod:`repro.fastpath.fastchip`) — a vectorized surrogate that keeps
   per-RPC granularity but collapses the chip to a calibrated FIFO
-  service process: batched arrival/service sampling, per-node
-  server-free-time heaps, and a calendar-queue bucketed scheduler for
-  the departure traffic that dominates the DES event heap.
+  service process: batched arrival/service sampling and per-node
+  server-free-time heaps. State-dependent runs go through one
+  sequential loop (:mod:`repro.fastpath.loop`) with a ``heapq``
+  departure heap, behind two routing front-ends: the rack's
+  (:mod:`repro.fastpath.fastcluster`) and the datacenter's
+  (:mod:`repro.datacenter.fastdc`).
 * ``fluid`` (:mod:`repro.fastpath.fluid`) — a mean-field tier that
   replaces per-RPC simulation entirely above a node-count threshold:
   queue-length ODE trajectories per policy, with latency quantiles
@@ -30,13 +33,8 @@ validity envelope of each tier are documented in EXPERIMENTS.md
 ("Engine tiers").
 """
 
-from .calendar import CalendarQueue
 from .fastchip import calibrated_chip_profile, fast_chip_point, fast_scheme_sweep
-from .fastcluster import (
-    calibrated_scheme_profile,
-    calibrated_service_overhead_ns,
-    simulate_rack_fast,
-)
+from .fastcluster import calibrated_scheme_profile, simulate_rack_fast
 from .fluid import fluid_tail_measure, fluid_transient_measure, simulate_cluster_fluid
 from .select import (
     DEFAULT_FLUID_THRESHOLD,
@@ -50,14 +48,12 @@ from .select import (
 )
 
 __all__ = [
-    "CalendarQueue",
     "DEFAULT_FLUID_THRESHOLD",
     "ENGINES",
     "ENGINE_CAPABILITIES",
     "arrival_capability",
     "calibrated_chip_profile",
     "calibrated_scheme_profile",
-    "calibrated_service_overhead_ns",
     "engine_supports",
     "fast_chip_point",
     "fast_scheme_sweep",

@@ -38,6 +38,7 @@ from ..dists import Distribution
 from ..metrics import LatencySummary, SweepPoint, SweepResult
 from ..queueing.fastsim import poisson_arrivals, simulate_fifo_queue
 from ..runner import task_seed
+from .calibration import bisect_occupancy
 
 __all__ = [
     "calibrated_chip_profile",
@@ -69,6 +70,19 @@ def _spray_departures(
             arrivals[mask], services[mask], servers_per_queue, validate=False
         )
     return departures
+
+
+def _achieved_mrps(departures: np.ndarray, cutoff: float) -> float:
+    """Completions per µs from ``cutoff`` to the last one, like the DES.
+
+    The window includes the drain tail, so the headline run's
+    >=97%-sustained filter behaves the same on both engines.
+    """
+    kept = departures[departures >= cutoff]
+    if kept.size < 2:
+        return 0.0
+    duration = float(kept.max()) - max(cutoff, float(kept.min()))
+    return kept.size / duration * 1e3 if duration > 0 else 0.0
 
 
 def _scheme_departures(
@@ -154,15 +168,7 @@ def calibrated_chip_profile(
         )
         return point.summary.mean
 
-    low, high = 0.0, overhead
-    for _ in range(10):
-        mid = (low + high) / 2.0
-        if engine_mean(mid) > target:
-            high = mid
-        else:
-            low = mid
-    occupancy = (low + high) / 2.0
-    return occupancy, overhead - occupancy
+    return bisect_occupancy(engine_mean, target, overhead)
 
 
 def fast_chip_point(
@@ -228,18 +234,10 @@ def fast_chip_point(
         if warmup_fraction > 0
         else 0.0
     )
-    summary = LatencySummary.from_values(sojourns[departures > cutoff])
-    kept = departures[departures >= cutoff]
-    achieved = 0.0
-    if kept.size >= 2:
-        start = max(cutoff, float(kept.min()))
-        duration = float(kept.max()) - start
-        if duration > 0:
-            achieved = kept.size / duration * 1e3
     return SweepPoint(
         offered_load=float(offered_mrps),
-        achieved_throughput=achieved,
-        summary=summary,
+        achieved_throughput=_achieved_mrps(departures, cutoff),
+        summary=LatencySummary.from_values(sojourns[departures > cutoff]),
         extra={
             "mean_service_ns": float(services.mean()),
             "stall_fraction": 0.0,
@@ -281,25 +279,14 @@ def fast_scheme_sweep(
         departures = _scheme_departures(scheme, arrivals, services, rng)
         sojourns = departures - arrivals
         skip = int(num_requests * warmup_fraction)
-        summary = LatencySummary.from_values(sojourns[skip:])
         # Achieved throughput mirrors the DES exactly: warmup cutoff is
-        # the completion-time quantile, and the rate is measured over
-        # the completion window (including the drain tail), so the
-        # >=97%-sustained filter in the headline run behaves the same
-        # on both engines.
+        # the completion-time quantile.
         cutoff = float(np.quantile(departures, warmup_fraction))
-        kept = departures[departures >= cutoff]
-        achieved = 0.0
-        if kept.size >= 2:
-            start = max(cutoff, float(kept.min()))
-            duration = float(kept.max()) - start
-            if duration > 0:
-                achieved = kept.size / duration * 1e3
         points.append(
             SweepPoint(
                 offered_load=float(load),
-                achieved_throughput=achieved,
-                summary=summary,
+                achieved_throughput=_achieved_mrps(departures, cutoff),
+                summary=LatencySummary.from_values(sojourns[skip:]),
             )
         )
     return SweepResult(label=label, points=points)

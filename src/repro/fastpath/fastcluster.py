@@ -8,30 +8,16 @@ against the DES tier itself** (a light-load two-node probe), then
 simulates the whole rack with the ``fastsim`` struct-of-arrays
 approach:
 
-* batched arrival sampling: one exponential draw per client stream,
-  merged with a single stable argsort;
-* batched service sampling through the workload's vectorized
-  ``sample_batch``;
+* batched arrival/service sampling
+  (:func:`repro.fastpath.loop.sample_requests`);
 * state-independent policies (random/RR) route entirely vectorized and
   run each node as one :func:`repro.queueing.fastsim.simulate_fifo_queue`
   call (per-node server-free-time heaps in flat arrays);
-* load-aware policies (JSQ(d)/SED) keep a sequential decision loop —
-  the decisions are inherently state-dependent — but drive departures
-  through a :class:`repro.fastpath.CalendarQueue` instead of the DES
-  kernel's generic heap, and reuse the *exact* policy/signal classes
-  from :mod:`repro.rack` so routing semantics cannot drift.
-
-Shaped arrivals (any :class:`repro.popload.ArrivalProcess`) replace
-the per-client exponential batch with per-client ``sample_gaps`` calls
-— same one-deterministic-sweep RNG contract, so runs stay bit-identical
-at any worker count. :class:`repro.faults.FaultPlan` timelines run as
-window lookups against the materialized plan (the same
-``materialize(num_nodes, horizon, seed)`` the DES injector schedules
-from): crashes drop requests routed to a down node and floor the
-node's server-free times at recovery (the outage freezes its servers),
-slowdowns scale the effective speed of requests launched inside the
-window, and fabric degradation rolls batched drop/dup/delay-spike
-fates per request. Faulted runs always take the sequential loop.
+* load-aware policies (JSQ(d)/SED), binding send slots and
+  :class:`repro.faults.FaultPlan` timelines run the fast tier's one
+  sequential loop (:func:`repro.fastpath.loop.run_loop`) behind this
+  module's rack front-end, which reuses the *exact* policy/signal
+  classes from :mod:`repro.rack` so routing semantics cannot drift.
 
 Approximations versus DES (documented in EXPERIMENTS.md): the chip is
 a FIFO with calibrated fixed overhead (no NI pipelining or mesh
@@ -49,26 +35,25 @@ synchronous state reads). Tolerance bands are enforced by
 
 from __future__ import annotations
 
-import heapq
-import math
+from array import array
 from bisect import bisect_right
+from collections import deque
 from functools import lru_cache
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..cluster.cluster import ClusterResult
-from ..metrics import LatencySummary
 from ..queueing.fastsim import simulate_fifo_queue
 from ..rack.policies import PowerOfD, ZipfDestinations, make_policy
 from ..rack.router import RouterStats
 from ..rack.signals import BroadcastSignal, PiggybackSignal, make_signal
-from .calendar import CalendarQueue
+from .calibration import bisect_occupancy, light_load_overhead_ns
+from .fastchip import _spray_departures
+from .loop import FaultTimeline, build_result, check_scenario, run_loop, sample_requests
 
 __all__ = [
-    "FaultTimeline",
     "calibrated_scheme_profile",
-    "calibrated_service_overhead_ns",
     "simulate_rack_fast",
 ]
 
@@ -81,32 +66,6 @@ DEFAULT_SEND_SLOTS = 32
 _PROBE_MRPS = 24.0
 _PROBE_NODES = 4
 _PROBE_REQUESTS = 1500
-
-
-def _light_load_overhead_ns(scheme: str, cores: int, probe_seed: int) -> float:
-    """Total per-RPC latency overhead from a light-load DES probe.
-
-    Runs a tiny two-node DES cluster at ~5% utilization, where queueing
-    is negligible, and subtracts the workload's mean processing time:
-    what remains is the NI/dispatch/messaging latency every RPC pays —
-    the same "measured mean minus processing mean" recipe Fig. 9's
-    analytic model uses.
-    """
-    from ..balancing import Partitioned, SingleQueue
-    from ..cluster import Cluster
-    from ..workloads import HerdWorkload
-
-    factory = {"1x16": SingleQueue, "16x1": Partitioned}[scheme]
-    workload = HerdWorkload()
-    cluster = Cluster(
-        num_nodes=2,
-        scheme_factory=factory,
-        workload=workload,
-        seed=probe_seed,
-        core_counts=[cores, cores],
-    )
-    result = cluster.run(per_node_mrps=2.0, requests_per_node=600)
-    return max(result.aggregate.mean - workload.mean_processing_ns, 0.0)
 
 
 @lru_cache(maxsize=None)
@@ -129,7 +88,11 @@ def calibrated_scheme_profile(
     mean sojourn on the identical scenario. Cached per (scheme, cores):
     rack sweeps reuse a handful of probes across dozens of points.
     """
-    overhead = _light_load_overhead_ns(scheme, cores, probe_seed)
+    from ..datacenter.topology import node_profile
+
+    overhead = light_load_overhead_ns(
+        node_profile("baseline"), scheme, cores, probe_seed
+    )
     if scheme != "16x1":
         return overhead, 0.0
 
@@ -163,23 +126,7 @@ def calibrated_scheme_profile(
         )
         return result.aggregate.mean
 
-    low, high = 0.0, overhead
-    for _ in range(10):
-        mid = (low + high) / 2.0
-        if engine_mean(mid) > target:
-            high = mid
-        else:
-            low = mid
-    occupancy = (low + high) / 2.0
-    return occupancy, overhead - occupancy
-
-
-def calibrated_service_overhead_ns(
-    scheme: str, cores: int, probe_seed: int = 0
-) -> float:
-    """Total fixed per-RPC overhead (occupancy + pipelined latency)."""
-    occupancy, shift = calibrated_scheme_profile(scheme, cores, probe_seed)
-    return occupancy + shift
+    return bisect_occupancy(engine_mean, target, overhead)
 
 
 def _route_static(
@@ -218,14 +165,7 @@ def _node_departures(
     if scheme == "1x16":
         return simulate_fifo_queue(arrivals, services, cores, validate=False)
     # 16x1: uniform spray to per-core FIFOs, each a Lindley recurrence.
-    picks = spray_rng.integers(0, cores, size=arrivals.size)
-    departures = np.empty_like(arrivals)
-    for core in range(cores):
-        mask = picks == core
-        departures[mask] = simulate_fifo_queue(
-            arrivals[mask], services[mask], 1, validate=False
-        )
-    return departures
+    return _spray_departures(arrivals, services, cores, 1, spray_rng)
 
 
 def _count_stalls(
@@ -271,145 +211,6 @@ def _count_stalls(
     return stalled
 
 
-class _FaultTimeline:
-    """One materialized :class:`~repro.faults.FaultPlan`, as flat windows.
-
-    The DES injector executes the plan as scheduled callbacks; this
-    engine has no event kernel, so the same materialized events become
-    per-node window lists the sequential loop probes by containment
-    (plans hold a handful of events — linear scans beat any index).
-    The fabric stream reuses the DES's ``"faults.fabric"`` name from a
-    :class:`~repro.sim.RngRegistry`, so fault-free runs draw nothing.
-    """
-
-    def __init__(self, plan, num_nodes: int, horizon_ns: float, seed: int) -> None:
-        from ..faults import FaultStats
-        from ..faults.plan import (
-            FabricDegradation,
-            NodeCrash,
-            NodeSlowdown,
-        )
-
-        self.plan = plan
-        self.stats = FaultStats()
-        self.crash_windows: List[List[tuple]] = [[] for _ in range(num_nodes)]
-        self.slow_windows: List[List[tuple]] = [[] for _ in range(num_nodes)]
-        self.fabric_windows: List[tuple] = []
-        for event in plan.materialize(num_nodes, horizon_ns, seed):
-            if isinstance(event, NodeCrash):
-                end = (
-                    event.at_ns + event.outage_ns
-                    if event.outage_ns is not None
-                    else math.inf
-                )
-                self.crash_windows[event.node].append((event.at_ns, end))
-            elif isinstance(event, NodeSlowdown):
-                self.slow_windows[event.node].append(
-                    (event.at_ns, event.at_ns + event.duration_ns, event.factor)
-                )
-            elif isinstance(event, FabricDegradation):
-                self.fabric_windows.append(
-                    (event.at_ns, event.at_ns + event.duration_ns, event)
-                )
-            # SignalBlackout: this engine's load signals are synchronous
-            # state reads with nothing to go dark; a blackout is a no-op.
-        for windows in self.crash_windows:
-            windows.sort()
-        self.fabric_windows.sort(key=lambda window: window[0])
-        #: (recovery_time, node) boundaries for server-free-time surgery.
-        self.recoveries = sorted(
-            (end, node)
-            for node, windows in enumerate(self.crash_windows)
-            for (_start, end) in windows
-            if end != math.inf
-        )
-        self.has_fabric = plan.has_fabric_noise or bool(self.fabric_windows)
-        if self.has_fabric:
-            from ..sim import RngRegistry
-
-            self.fabric_rng = RngRegistry(seed).stream("faults.fabric")
-        else:
-            self.fabric_rng = None
-
-    def node_down(self, node: int, t_ns: float) -> bool:
-        return any(
-            start <= t_ns < end for start, end in self.crash_windows[node]
-        )
-
-    def speed_factor(self, node: int, t_ns: float) -> float:
-        factor = 1.0
-        # Overlapping windows compound, like the DES injector.
-        for start, end, window_factor in self.slow_windows[node]:
-            if start <= t_ns < end:
-                factor *= window_factor
-        return factor
-
-    def fabric_fate(self, t_ns: float) -> tuple:
-        """(dropped, extra_delay_ns) for one request's fabric traversal.
-
-        Mirrors ``FaultInjector.transmit``'s draw order — drop, then
-        spike, then dup — with window probabilities stacked on the
-        plan's steady-state noise. Draws only while fabric faults are
-        live, so the stream stays aligned with configured windows.
-        """
-        plan = self.plan
-        drop, dup, spike, spike_ns = (
-            plan.drop_prob,
-            plan.dup_prob,
-            plan.spike_prob,
-            plan.spike_ns,
-        )
-        active = False
-        for start, end, window in self.fabric_windows:
-            if start <= t_ns < end:
-                active = True
-                drop = min(drop + window.drop_prob, 1.0)
-                dup = min(dup + window.dup_prob, 1.0)
-                spike = min(spike + window.spike_prob, 1.0)
-                spike_ns = max(spike_ns, window.spike_ns)
-        if self.fabric_rng is None or not (active or plan.has_fabric_noise):
-            return False, 0.0
-        rng = self.fabric_rng
-        if rng.random() < drop:
-            self.stats.msg_drops += 1
-            return True, 0.0
-        delay = 0.0
-        if spike > 0 and rng.random() < spike:
-            self.stats.delay_spikes += 1
-            delay = spike_ns
-        if dup > 0 and rng.random() < dup:
-            # Counted only: the receiver dedups, so the duplicate costs
-            # fabric accounting but no second service.
-            self.stats.msg_dups += 1
-        return False, delay
-
-    def finalize(self, elapsed_ns: float, total: int, lost: int) -> list:
-        """Fill timeline stats and return per-node availability."""
-        stats = self.stats
-        stats.offered = total
-        stats.completed = total - lost
-        stats.lost = lost
-        availability = []
-        for node, windows in enumerate(self.crash_windows):
-            down_ns = 0.0
-            for start, end in windows:
-                if start <= elapsed_ns:
-                    stats.crashes += 1
-                    down_ns += min(end, elapsed_ns) - start
-                    if end <= elapsed_ns:
-                        stats.recoveries += 1
-            availability.append(
-                max(0.0, 1.0 - down_ns / elapsed_ns)
-                if elapsed_ns > 0
-                else 1.0
-            )
-        for windows in self.slow_windows:
-            stats.slowdowns += sum(
-                1 for start, _end, _factor in windows if start <= elapsed_ns
-            )
-        return availability
-
-
 def simulate_rack_fast(
     num_nodes: int,
     policy: str = "random",
@@ -447,21 +248,17 @@ def simulate_rack_fast(
     """
     if num_nodes < 2:
         raise ValueError(f"need at least 2 nodes, got {num_nodes!r}")
-    if per_node_mrps <= 0 or requests_per_node <= 0:
-        raise ValueError("per_node_mrps and requests_per_node must be positive")
-    from ..workloads import HerdWorkload
-
-    num_clients = num_nodes
-    cores = (
-        [int(count) for count in core_counts]
-        if core_counts is not None
-        else [16] * num_nodes
-    )
+    if send_slots_per_node < 1:
+        raise ValueError(f"send_slots_per_node must be >= 1, got {send_slots_per_node!r}")
+    cores = [int(count) for count in core_counts] if core_counts is not None else [16] * num_nodes
     speeds = np.asarray(
-        speed_factors if speed_factors is not None else [1.0] * num_nodes,
-        dtype=float,
+        speed_factors if speed_factors is not None else [1.0] * num_nodes, dtype=float
     )
-    workload = HerdWorkload()
+    check_scenario(num_nodes, per_node_mrps, requests_per_node, warmup_fraction, cores, speeds)
+    policy_obj = make_policy(policy)
+    signal_obj = make_signal(signal)
+    destinations = ZipfDestinations(num_nodes, skew)
+
     # Per-node (core occupancy, pipelined latency shift) split; the
     # ``_profile`` hook lets the calibration bisection drive this
     # engine with candidate splits without recursing into the probes.
@@ -473,165 +270,45 @@ def simulate_rack_fast(
     occupancy = np.array([profile[0] for profile in profiles])
     shift = np.array([profile[1] for profile in profiles])
 
-    policy_obj = make_policy(policy)
-    signal_obj = make_signal(signal)
-    destinations = ZipfDestinations(num_nodes, skew)
-
-    arrival_rng, service_rng, route_rng = (
-        np.random.default_rng(child)
-        for child in np.random.SeedSequence(seed).spawn(3)
-    )
-
-    # Batched per-client arrival streams, merged with one stable sort.
-    n = requests_per_node
-    mean_gap_ns = 1e3 / per_node_mrps
-    if arrival_process is not None:
-        # One deterministic sweep of the shared generator per client,
-        # mirroring how each DES node draws its own gap batch; the
-        # calendar bucket heuristic tracks the process's actual mean.
-        mean_rate = arrival_process.mean_rate_rps
-        if mean_rate > 0:
-            mean_gap_ns = 1e9 / mean_rate
-        gaps = np.stack(
-            [arrival_process.sample_gaps(arrival_rng, n) for _ in range(num_clients)]
-        )
-    else:
-        gaps = arrival_rng.exponential(mean_gap_ns, size=(num_clients, n))
-    flat_times = np.cumsum(gaps, axis=1).ravel()
-    flat_clients = np.repeat(np.arange(num_clients), n)
-    order = np.argsort(flat_times, kind="stable")
-    times = flat_times[order]
-    clients = flat_clients[order]
-
-    # Batched service sampling, one vectorized draw per client stream.
-    processing = np.empty(num_clients * n)
-    for client in range(num_clients):
-        samples, _labels = workload.sample_batch(service_rng, n)
-        processing[client * n : (client + 1) * n] = samples
-    processing = processing[order]
-
-    total = times.size
-    errors: Optional[np.ndarray] = None
-
-    timeline: Optional[_FaultTimeline] = None
-    if faults is not None and not getattr(faults, "is_trivial", False):
-        # Same (plan, node-count, horizon, seed) materialization the
-        # DES injector schedules from, so fast and DES runs see the
-        # same fault timeline for a given scenario.
-        timeline = _FaultTimeline(faults, num_nodes, float(times[-1]), seed)
+    requests = sample_requests(num_nodes, requests_per_node, per_node_mrps, arrival_process, seed)
+    times, clients, processing, route_rng = requests
+    timeline = FaultTimeline.of(faults, num_nodes, times, seed)
 
     static_dsts: Optional[np.ndarray] = None
     if not policy_obj.uses_load_signal:
-        static_dsts = _route_static(
-            policy_obj.label, destinations, clients, route_rng, num_nodes
-        )
+        static_dsts = _route_static(policy_obj.label, destinations, clients, route_rng, num_nodes)
 
+    errors: Optional[np.ndarray] = None
     if timeline is None and static_dsts is not None and not _slots_may_bind(
-        static_dsts,
-        processing,
-        speeds,
-        occupancy,
-        cores,
-        times,
-        send_slots_per_node,
-        num_nodes,
+        static_dsts, processing, speeds, occupancy, cores, times, send_slots_per_node, num_nodes
     ):
         # Fully vectorized: state-independent routing, no send-slot
         # pressure — each node is one struct-of-arrays FIFO call.
         dsts = static_dsts
-        departures = np.empty(total)
+        departures = np.empty(times.size)
         services = processing / speeds[dsts] + occupancy[dsts]
         for node in range(num_nodes):
             mask = dsts == node
             departures[mask] = _node_departures(
                 scheme, times[mask], services[mask], cores[node], route_rng
             )
-        stalled = _count_stalls(
-            clients, dsts, times, departures, num_nodes, send_slots_per_node
-        )
+        stalled = _count_stalls(clients, dsts, times, departures, num_nodes, send_slots_per_node)
         sojourns = departures - times + shift[dsts]
         dropped = None
     else:
-        dsts, sojourns, departures, errors, stalled, dropped = _route_sequential(
-            policy_obj,
-            signal_obj,
-            destinations,
-            scheme,
-            cores,
-            speeds,
-            occupancy,
-            shift,
-            times,
-            clients,
-            processing,
-            route_rng,
-            mean_gap_ns,
-            send_slots_per_node,
-            static_dsts,
-            timeline,
+        route, admit, release, errors, stalled = _rack_front_end(
+            policy_obj, signal_obj, destinations, cores, speeds, route_rng,
+            send_slots_per_node, static_dsts, times.size,
+        )
+        dsts, sojourns, departures, dropped = run_loop(
+            requests, route, admit, release, cores, speeds, occupancy, shift,
+            one_queue=scheme == "1x16", timeline=timeline,
         )
 
-    skip = int(total * warmup_fraction)
-    kept_sojourns = sojourns[skip:]
-    kept_dsts = dsts[skip:]
-    if dropped is not None:
-        kept_ok = ~dropped[skip:]
-        kept_sojourns = kept_sojourns[kept_ok]
-        kept_dsts = kept_dsts[kept_ok]
-    aggregate = LatencySummary.from_values(kept_sojourns)
-    per_node = [
-        LatencySummary.from_values(kept_sojourns[kept_dsts == node])
-        if np.any(kept_dsts == node)
-        else LatencySummary.empty()
-        for node in range(num_nodes)
-    ]
-
-    elapsed_ns = float(departures.max())
-    routed_counts = np.bincount(dsts, minlength=num_nodes)
-    stats = RouterStats(
-        policy=policy_obj.label,
-        signal=signal_obj.label,
-        skew=skew,
-        routed=[int(count) for count in routed_counts],
-        decisions=total,
-    )
-    if errors is not None:
-        stats.signal_error_sum = float(errors.sum())
-        stats.signal_error_count = int(errors.size)
-
-    snapshot = None
-    if telemetry:
-        snapshot = _build_snapshot(routed_counts, errors)
-
-    lost = int(np.count_nonzero(dropped)) if dropped is not None else 0
-    completed = total - lost
-    throughput = completed / elapsed_ns * 1e3 if elapsed_ns > 0 else 0.0
-    availability = None
-    fault_stats = None
-    if timeline is not None:
-        availability = timeline.finalize(elapsed_ns, total, lost)
-        fault_stats = timeline.stats
-        completed_counts = np.bincount(
-            dsts[~dropped], minlength=num_nodes
-        )
-    else:
-        completed_counts = routed_counts
-
-    return ClusterResult(
-        num_nodes=num_nodes,
-        aggregate=aggregate,
-        per_node=per_node,
-        total_throughput_mrps=throughput,
-        stall_fractions=[int(count) / n for count in stalled],
-        completed=completed,
-        per_node_completed=[int(count) for count in completed_counts],
-        router_stats=stats,
-        telemetry=snapshot,
-        offered=total if timeline is not None else 0,
-        lost=lost,
-        goodput_mrps=throughput if timeline is not None else 0.0,
-        availability=availability,
-        fault_stats=fault_stats,
+    stats = RouterStats(policy=policy_obj.label, signal=signal_obj.label, skew=skew)
+    return build_result(
+        num_nodes, dsts, sojourns, departures, dropped, stalled, requests_per_node,
+        warmup_fraction, timeline, stats, errors, telemetry,
     )
 
 
@@ -663,25 +340,12 @@ def _slots_may_bind(
     return bool(utilization.max() > 0.85)
 
 
-def _route_sequential(
-    policy_obj,
-    signal_obj,
-    destinations: ZipfDestinations,
-    scheme: str,
-    cores: List[int],
-    speeds: np.ndarray,
-    occupancy: np.ndarray,
-    shift: np.ndarray,
-    times: np.ndarray,
-    clients: np.ndarray,
-    processing: np.ndarray,
-    route_rng: np.random.Generator,
-    mean_gap_ns: float,
-    slots: int,
-    static_dsts: Optional[np.ndarray],
-    timeline: Optional[_FaultTimeline] = None,
+def _rack_front_end(
+    policy_obj, signal_obj, destinations: ZipfDestinations, cores: List[int],
+    speeds: np.ndarray, rng: np.random.Generator, slots: int,
+    static_dsts: Optional[np.ndarray], total: int,
 ):
-    """Sequential event loop: load-aware routing and/or slot blocking.
+    """The rack's ``(route, admit, release)`` callbacks for ``run_loop``.
 
     Load-aware policies (JSQ(d)/SED) are inherently state-dependent, so
     their decisions run through the rack package's policy objects
@@ -691,68 +355,63 @@ def _route_sequential(
     policies pass their precomputed destinations via ``static_dsts``
     and only pay for the closed-loop send-slot bookkeeping.
 
-    Departure feedback — the Timeout/Callback traffic that dominates
-    the DES heap — drains through a calendar queue sized to ~one event
-    per bucket. Like the DES, a send finding its per-destination slot
-    pool exhausted waits client-side for a replenish; the server-side
+    Like the DES, a send finding its per-(client, dst) slot pool
+    exhausted waits client-side for a replenish; the server-side
     sojourn clock starts at submission, not generation.
 
-    With a fault ``timeline``, each request rolls its fabric fate at
-    routing time (drop / delay spike / counted dup), requests routed to
-    a node inside a crash window are dropped as ``crash_drops``, a
-    recovery boundary floors the node's server-free times (the outage
-    froze its servers), and slowdown windows scale the effective speed
-    of requests launched inside them. Dropped requests never occupy a
-    send slot or server and are excluded from the latency summaries.
+    Also returns the per-decision staleness errors (an array the loop
+    fills as it routes; None for static routing) and per-client stall
+    counts.
     """
     num_nodes = len(cores)
-    total = times.size
-    dsts = (
-        static_dsts
-        if static_dsts is not None
-        else np.empty(total, dtype=np.int64)
-    )
-    sojourns = np.empty(total)
-    departures = np.empty(total)
-    load_aware = policy_obj.uses_load_signal
-    errors = np.empty(total) if load_aware else None
-    stalled = np.zeros(num_nodes, dtype=np.int64)
-
     outstanding = [0] * num_nodes
-    capacities = {
-        node: cores[node] * float(speeds[node]) for node in range(num_nodes)
-    }
-    peers_of = [
-        [int(node) for node in destinations.peers_of(client)]
-        for client in range(num_nodes)
-    ]
+    stalled = [0] * num_nodes
+    inflight = [[0] * num_nodes for _ in range(num_nodes)]
+    pending: dict = {}
+    views = (
+        [[0.0] * num_nodes for _ in range(num_nodes)]
+        if static_dsts is None and isinstance(signal_obj, PiggybackSignal)
+        else None
+    )
 
+    def admit(index: int, client: int, dst: int, entered_at: float) -> bool:
+        outstanding[dst] += 1
+        row = inflight[client]
+        if row[dst] >= slots:
+            stalled[client] += 1
+            pending.setdefault((client, dst), deque()).append(index)
+            return False
+        row[dst] += 1
+        return True
+
+    def release(when: float, dst: int, client: int):
+        outstanding[dst] -= 1
+        if views is not None:
+            views[client][dst] = float(outstanding[dst])
+        queue = pending.get((client, dst)) if pending else None
+        if queue:
+            # The freed slot's credit re-issues the oldest blocked send
+            # at the replenish instant, like the DES client.
+            index = queue.popleft()
+            if not queue:
+                del pending[(client, dst)]
+            return index, when
+        inflight[client][dst] -= 1
+        return None
+
+    if static_dsts is not None:
+        static = static_dsts.tolist()
+        return lambda index, client, now: static[index], admit, release, None, stalled
+
+    errors = array("d", bytes(8 * total))
+    capacities = {node: cores[node] * float(speeds[node]) for node in range(num_nodes)}
+    peers_of = [[int(node) for node in destinations.peers_of(c)] for c in range(num_nodes)]
     is_broadcast = isinstance(signal_obj, BroadcastSignal)
-    is_piggyback = isinstance(signal_obj, PiggybackSignal)
     period = signal_obj.period_ns if is_broadcast else 0.0
     next_tick = period
     snap = [0] * num_nodes
-    views = (
-        [[0.0] * num_nodes for _ in range(num_nodes)] if is_piggyback else None
-    )
-
-    # Per-node service state: one server-free-time heap per 1x16 node,
-    # one flat per-core free-time list per 16x1 node.
-    one_queue = scheme == "1x16"
-    if one_queue:
-        free_heaps = [[0.0] * cores[node] for node in range(num_nodes)]
-        for heap in free_heaps:
-            heapq.heapify(heap)
-    else:
-        core_free = [[0.0] * cores[node] for node in range(num_nodes)]
-
-    inflight = [[0] * num_nodes for _ in range(num_nodes)]
-    pending: dict = {}
-
-    calendar = CalendarQueue(bucket_width=max(mean_gap_ns / num_nodes, 1.0))
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    integers = route_rng.integers
+    integers = rng.integers
+    rng_random = rng.random
     choose = policy_obj.choose
 
     # JSQ(d) dominates the sequential traffic (ext-rack, ext-scale); an
@@ -761,169 +420,40 @@ def _route_sequential(
     # lists — no per-event estimates dict, and ``bisect`` instead of a
     # scalar ``np.searchsorted`` per candidate. Equivalence is pinned by
     # tests/test_fastpath.py against the policy-object path.
-    jsq_d = None
-    if isinstance(policy_obj, PowerOfD) and static_dsts is None:
-        jsq_d = policy_obj.d
-        jsq_cumulative = [
-            [float(value) for value in destinations.cumulative_of(client)]
-            for client in range(num_nodes)
-        ]
-    rng_random = route_rng.random
-    bisect = bisect_right
+    jsq_d = policy_obj.d if isinstance(policy_obj, PowerOfD) else None
+    jsq_cumulative = [
+        [float(value) for value in destinations.cumulative_of(client)]
+        for client in range(num_nodes)
+    ] if jsq_d is not None else None
 
-    dropped = np.zeros(total, dtype=bool) if timeline is not None else None
-    recoveries = timeline.recoveries if timeline is not None else []
-    recovery_cursor = 0
-
-    def submit(index: int, submit_at: float, dst: int, client: int) -> None:
-        speed = speeds[dst]
-        if timeline is not None:
-            speed *= timeline.speed_factor(dst, submit_at)
-        service = processing[index] / speed + occupancy[dst]
-        if one_queue:
-            heap = free_heaps[dst]
-            free = heappop(heap)
-            depart = (submit_at if submit_at > free else free) + service
-            heappush(heap, depart)
-        else:
-            lanes = core_free[dst]
-            lane = int(integers(0, len(lanes)))
-            free = lanes[lane]
-            depart = (submit_at if submit_at > free else free) + service
-            lanes[lane] = depart
-        departures[index] = depart
-        sojourns[index] = depart - submit_at + shift[dst]
-        calendar.push(depart, (dst, client, index))
-
-    def drain(upto: float) -> None:
-        while calendar:
-            when = calendar.peek_time()
-            if when > upto:
-                return
-            when, (done_node, done_client, _done_index) = calendar.pop()
-            outstanding[done_node] -= 1
-            if views is not None:
-                views[done_client][done_node] = float(outstanding[done_node])
-            inflight[done_client][done_node] -= 1
-            queue = pending.get((done_client, done_node))
-            if queue:
-                # The freed slot's credit re-issues the oldest blocked
-                # send at the replenish instant, like the DES client.
-                next_index = queue.pop(0)
-                inflight[done_client][done_node] += 1
-                submit(next_index, when, done_node, done_client)
-
-    for index in range(total):
-        now = times[index]
-        client = int(clients[index])
-        while (
-            recovery_cursor < len(recoveries)
-            and recoveries[recovery_cursor][0] <= now
-        ):
-            # Heap surgery at a recovery boundary: the outage froze the
-            # node's servers, so nothing can start before this instant.
-            rec_time, rec_node = recoveries[recovery_cursor]
-            recovery_cursor += 1
-            if one_queue:
-                heap = free_heaps[rec_node]
-                for lane, free in enumerate(heap):
-                    if free < rec_time:
-                        heap[lane] = rec_time
-                heapq.heapify(heap)
-            else:
-                lanes = core_free[rec_node]
-                for lane, free in enumerate(lanes):
-                    if free < rec_time:
-                        lanes[lane] = rec_time
-        drain(now)
+    def route(index: int, client: int, now: float) -> int:
+        nonlocal snap, next_tick
         if is_broadcast:
             while now >= next_tick:
                 snap = list(outstanding)
                 next_tick += period
-
-        if static_dsts is not None:
-            dst = int(static_dsts[index])
+            believe = snap
+        elif views is not None:
+            believe = views[client]
         else:
-            if is_broadcast:
-                believe = snap
-            elif is_piggyback:
-                believe = views[client]
-            else:
-                believe = outstanding
-            if jsq_d is not None:
-                cumulative = jsq_cumulative[client]
-                peers = peers_of[client]
-                last = len(cumulative) - 1
-                chosen: List[int] = []
-                while len(chosen) < jsq_d:
-                    position = bisect(cumulative, rng_random())
-                    candidate = peers[position if position < last else last]
-                    if candidate not in chosen:
-                        chosen.append(candidate)
-                best = min(believe[node] for node in chosen)
-                tied = [node for node in chosen if believe[node] == best]
-                dst = (
-                    tied[0]
-                    if len(tied) == 1
-                    else tied[int(integers(0, len(tied)))]
-                )
-            else:
-                estimates = {
-                    node: float(believe[node]) for node in peers_of[client]
-                }
-                dst = choose(
-                    client, destinations, estimates, capacities, route_rng
-                )
-            errors[index] = abs(float(believe[dst]) - outstanding[dst])
-            dsts[index] = dst
-
-        submit_at = now
-        if timeline is not None:
-            # Fabric traversal first, then delivery-time liveness — the
-            # DES injector's order. Dropped requests never count toward
-            # load signals, send slots, or server work.
-            fabric_drop, spike_delay = timeline.fabric_fate(now)
-            submit_at = now + spike_delay
-            if fabric_drop or timeline.node_down(dst, submit_at):
-                if not fabric_drop:
-                    timeline.stats.crash_drops += 1
-                dropped[index] = True
-                departures[index] = now
-                sojourns[index] = math.nan
-                continue
-        outstanding[dst] += 1
-
-        if inflight[client][dst] >= slots:
-            stalled[client] += 1
-            pending.setdefault((client, dst), []).append(index)
+            believe = outstanding
+        if jsq_d is not None:
+            cumulative = jsq_cumulative[client]
+            peers = peers_of[client]
+            last = len(cumulative) - 1
+            chosen: List[int] = []
+            while len(chosen) < jsq_d:
+                position = bisect_right(cumulative, rng_random())
+                candidate = peers[position if position < last else last]
+                if candidate not in chosen:
+                    chosen.append(candidate)
+            best = min(believe[node] for node in chosen)
+            tied = [node for node in chosen if believe[node] == best]
+            dst = tied[0] if len(tied) == 1 else tied[int(integers(0, len(tied)))]
         else:
-            inflight[client][dst] += 1
-            submit(index, submit_at, dst, client)
+            estimates = {node: float(believe[node]) for node in peers_of[client]}
+            dst = choose(client, destinations, estimates, capacities, rng)
+        errors[index] = abs(float(believe[dst]) - outstanding[dst])
+        return dst
 
-    drain(float("inf"))
-    return dsts, sojourns, departures, errors, stalled, dropped
-
-
-#: Public name for the flat-window fault timeline: the datacenter fast
-#: engine (:mod:`repro.datacenter.fastdc`) replays the same
-#: materialized plans inside its own sequential loop.
-FaultTimeline = _FaultTimeline
-
-
-def _build_snapshot(routed_counts: np.ndarray, errors: Optional[np.ndarray]):
-    """A minimal telemetry snapshot matching the DES router's metrics."""
-    from ..telemetry import TelemetrySnapshot
-    from ..telemetry.primitives import Counter, Histogram
-
-    counters = {}
-    for node, count in enumerate(routed_counts):
-        name = f"rack.routed[node{node}]"
-        counter = Counter(name)
-        counter.inc(int(count))
-        counters[name] = counter
-    histograms = {}
-    if errors is not None and errors.size:
-        histogram = Histogram("rack.signal_error")
-        histogram.record_many(errors[errors > 0])
-        histograms["rack.signal_error"] = histogram
-    return TelemetrySnapshot(counters=counters, histograms=histograms)
+    return route, admit, release, np.frombuffer(errors), stalled

@@ -201,21 +201,6 @@ class FaultInjector:
 
     # -- the fabric path -----------------------------------------------------
 
-    def _effective_probs(self):
-        plan = self.plan
-        drop, dup, spike, spike_ns = (
-            plan.drop_prob,
-            plan.dup_prob,
-            plan.spike_prob,
-            plan.spike_ns,
-        )
-        for window in self._active_degradations:
-            drop = min(drop + window.drop_prob, 1.0)
-            dup = min(dup + window.dup_prob, 1.0)
-            spike = min(spike + window.spike_prob, 1.0)
-            spike_ns = max(spike_ns, window.spike_ns)
-        return drop, dup, spike, spike_ns
-
     def transmit(self, delay: float, fn, *args) -> str:
         """Send one message across the fabric, applying fabric faults.
 
@@ -230,7 +215,9 @@ class FaultInjector:
         ):
             self.cluster.env.schedule_call(delay, fn, *args)
             return "ok"
-        drop, dup, spike, spike_ns = self._effective_probs()
+        drop, dup, spike, spike_ns = self.plan.fabric_probs(
+            self._active_degradations
+        )
         rng = self._fabric_rng
         roll = rng.random()
         if roll < drop:

@@ -192,6 +192,18 @@ class FaultPlan:
         """True when steady-state traversal faults can occur."""
         return self.drop_prob > 0 or self.dup_prob > 0 or self.spike_prob > 0
 
+    def fabric_probs(self, windows=()) -> Tuple[float, float, float, float]:
+        """``(drop, dup, spike, spike_ns)``: live degradation ``windows`` on the noise."""
+        drop, dup, spike, spike_ns = (
+            self.drop_prob, self.dup_prob, self.spike_prob, self.spike_ns
+        )
+        for window in windows:
+            drop = min(drop + window.drop_prob, 1.0)
+            dup = min(dup + window.dup_prob, 1.0)
+            spike = min(spike + window.spike_prob, 1.0)
+            spike_ns = max(spike_ns, window.spike_ns)
+        return drop, dup, spike, spike_ns
+
     @property
     def is_trivial(self) -> bool:
         """True when the plan can never produce a fault."""

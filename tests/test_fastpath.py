@@ -1,15 +1,20 @@
-"""Tiered simulation core: calendar queue, engine selection, and the
-DES <-> fast <-> fluid equivalence bands documented in EXPERIMENTS.md."""
-
-import heapq
+"""Tiered simulation core: engine selection, the fast tier's golden
+outputs and input validation, and the DES <-> fast <-> fluid
+equivalence bands documented in EXPERIMENTS.md."""
 
 import numpy as np
 import pytest
 
+from repro.datacenter import (
+    DatacenterTopology,
+    rack_power_loss,
+    simulate_datacenter_fast,
+)
+from repro.faults import FaultPlan
+from repro.faults.plan import FabricDegradation, NodeCrash
 from repro.fastpath import (
     DEFAULT_FLUID_THRESHOLD,
     ENGINES,
-    CalendarQueue,
     fast_scheme_sweep,
     fluid_tail_measure,
     resolve_engine,
@@ -17,50 +22,314 @@ from repro.fastpath import (
     simulate_rack_fast,
 )
 from repro.fastpath import fastcluster
+from repro.popload import DiurnalRate, NonhomogeneousPoisson
 
 
-class TestCalendarQueue:
-    def test_matches_heapq_order(self):
-        rng = np.random.default_rng(7)
-        times = rng.exponential(50.0, size=2_000).cumsum()
-        rng.shuffle(times)
-        calendar = CalendarQueue(bucket_width=25.0)
-        mirror = []
-        for index, when in enumerate(times):
-            calendar.push(float(when), index)
-            heapq.heappush(mirror, (float(when), index))
-        drained = []
-        while calendar:
-            drained.append(calendar.pop()[0])
-        assert drained == sorted(drained)
-        assert len(drained) == len(times)
-        assert drained == [heapq.heappop(mirror)[0] for _ in range(len(times))]
+def _golden_key(result, holds=None):
+    aggregate = result.aggregate
+    return (
+        aggregate.p50,
+        aggregate.p99,
+        aggregate.mean,
+        list(result.per_node_completed),
+        result.lost,
+        list(result.stall_fractions),
+        result.router_stats.signal_error_sum,
+        holds,
+    )
 
-    def test_interleaved_push_pop(self):
-        rng = np.random.default_rng(11)
-        calendar = CalendarQueue(bucket_width=1.0)
-        mirror = []
-        clock = 0.0
-        for _ in range(500):
-            if mirror and rng.random() < 0.4:
-                want = heapq.heappop(mirror)[0]
-                got, _payload = calendar.pop()
-                assert got == want
-                clock = got
-            else:
-                when = clock + float(rng.exponential(3.0))
-                calendar.push(when, None)
-                heapq.heappush(mirror, (when, None))
-        while mirror:
-            assert calendar.pop()[0] == heapq.heappop(mirror)[0]
 
-    def test_peek_does_not_consume(self):
-        calendar = CalendarQueue(bucket_width=1.0)
-        calendar.push(3.0, "a")
-        assert calendar.peek_time() == 3.0
-        assert calendar.peek_time() == 3.0
-        assert calendar.pop() == (3.0, "a")
-        assert not calendar
+def _rack(**kwargs):
+    base = dict(num_nodes=4, per_node_mrps=24.0, requests_per_node=250, seed=7)
+    base.update(kwargs)
+    return lambda: _golden_key(simulate_rack_fast(**base))
+
+
+def _dc(topology, **kwargs):
+    base = dict(per_node_mrps=24.0, requests_per_node=200, seed=11)
+    base.update(kwargs)
+
+    def run():
+        audit = {}
+        result = simulate_datacenter_fast(topology, _audit=audit, **base)
+        return _golden_key(result, audit["holds"])
+
+    return run
+
+
+def _golden_cases():
+    """Rack policy x signal x scheme plus edge runs, and every hierarchy."""
+    cases = {}
+    for policy in ("random", "rr", "jsq2", "sed"):
+        # State-independent policies never read the signal.
+        load_aware = policy in ("jsq2", "sed")
+        signals = ("fresh", "piggyback", "broadcast:2000") if load_aware else ("fresh",)
+        for signal in signals:
+            for scheme in ("1x16", "16x1"):
+                cases[f"rack/{policy}/{signal}/{scheme}"] = _rack(
+                    policy=policy, signal=signal, scheme=scheme
+                )
+    cases["rack/jsq2/skew0.9"] = _rack(
+        num_nodes=6, policy="jsq2", signal="piggyback", skew=0.9
+    )
+    cases["rack/random/slots-bind"] = _rack(
+        policy="random", skew=0.9, send_slots_per_node=2
+    )
+    cases["rack/jsq3/slots-bind"] = _rack(
+        num_nodes=6, policy="jsq3", per_node_mrps=26.0, send_slots_per_node=1
+    )
+    cases["rack/sed/hetero"] = _rack(
+        policy="sed",
+        core_counts=[16, 8, 16, 8],
+        speed_factors=[1.0, 0.5, 1.0, 1.5],
+        per_node_mrps=14.0,
+    )
+    horizon_ns = 250 / 20.0 * 1e3
+    cases["rack/jsq2/diurnal+faults"] = _rack(
+        num_nodes=6,
+        policy="jsq2",
+        signal="piggyback",
+        per_node_mrps=20.0,
+        arrival_process=NonhomogeneousPoisson(DiurnalRate(20e6, 0.5, 5e3)),
+        faults=FaultPlan(
+            crash_rate_hz=2e4, slowdown_rate_hz=2e4, drop_prob=0.01,
+            spike_prob=0.02, spike_ns=1_500.0, dup_prob=0.01,
+        ),
+    )
+    cases["rack/random/16x1/crash+fabric"] = _rack(
+        policy="random",
+        scheme="16x1",
+        per_node_mrps=20.0,
+        faults=FaultPlan(
+            events=(
+                NodeCrash(node=1, at_ns=0.2 * horizon_ns,
+                          outage_ns=0.3 * horizon_ns),
+                FabricDegradation(
+                    at_ns=0.5 * horizon_ns, duration_ns=0.3 * horizon_ns,
+                    drop_prob=0.05, spike_prob=0.1, spike_ns=2_000.0,
+                ),
+            )
+        ),
+    )
+    topo = DatacenterTopology(4, 4)
+    cases["dc/flat/jsq2"] = _dc(topo, hierarchy="flat", policy="jsq2", skew=0.5)
+    cases["dc/flat/sed"] = _dc(topo, hierarchy="flat", policy="sed")
+    cases["dc/racksched/jsq2"] = _dc(
+        topo, hierarchy="racksched", policy="jsq2", skew=0.6
+    )
+    cases["dc/racksched/random/faults"] = _dc(
+        topo,
+        hierarchy="racksched",
+        policy="random",
+        faults=rack_power_loss(topo, 1, at_ns=2e3, outage_ns=3e3),
+    )
+    cases["dc/jbsq/random/k4"] = _dc(
+        topo, hierarchy="jbsq", policy="random", skew=0.8, jbsq_k=4,
+        per_node_mrps=26.0,
+    )
+    cases["dc/jbsq/jsq2/faults"] = _dc(
+        topo, hierarchy="jbsq", policy="jsq2", skew=0.8, jbsq_k=4,
+        per_node_mrps=26.0,
+        faults=FaultPlan(crash_rate_hz=3e4, drop_prob=0.01),
+    )
+    cases["dc/nanopu/sed/mixed"] = _dc(
+        DatacenterTopology.mixed_generations(4, 4, old_racks=1),
+        hierarchy="nanopu",
+        policy="sed",
+        per_node_mrps=20.0,
+    )
+    return cases
+
+
+GOLDEN_CASES = _golden_cases()
+
+#: Exact (p50, p99, mean, per_node_completed, lost, stall_fractions,
+#: signal_error_sum, JBSQ holds) per case, recorded before the rack and
+#: datacenter loops were merged into one engine. Any change here means
+#: the fast tier's outputs moved.
+GOLDEN = {
+    "rack/random/fresh/1x16": (
+        570.4558323613869, 1106.694310067334, 599.4304352707603,
+        [238, 252, 261, 249],
+        0, [0.0] * 4, 0.0, None,
+    ),
+    "rack/random/fresh/16x1": (
+        1018.5661457627176, 3424.340729024088, 1233.982185168924,
+        [238, 252, 261, 249],
+        0, [0.0] * 4, 0.0, None,
+    ),
+    "rack/rr/fresh/1x16": (
+        555.7590879457375, 1099.7394552997239, 586.0531329853429,
+        [250, 250, 250, 250],
+        0, [0.0] * 4, 0.0, None,
+    ),
+    "rack/rr/fresh/16x1": (
+        889.1274208690548, 3460.688872812471, 1125.5751753789073,
+        [250, 250, 250, 250],
+        0, [0.0] * 4, 0.0, None,
+    ),
+    "rack/jsq2/fresh/1x16": (
+        554.3657371618692, 1099.6831563869325, 583.075579351789,
+        [240, 261, 252, 247],
+        0, [0.0] * 4, 0.0, None,
+    ),
+    "rack/jsq2/fresh/16x1": (
+        1029.9955439500422, 3999.27846056739, 1276.8417680995017,
+        [258, 263, 243, 236],
+        0, [0.0] * 4, 0.0, None,
+    ),
+    "rack/jsq2/piggyback/1x16": (
+        565.7695719363765, 1121.1733530919582, 600.7883535542799,
+        [241, 251, 258, 250],
+        0, [0.0] * 4, 2939.0, None,
+    ),
+    "rack/jsq2/piggyback/16x1": (
+        1007.1820022653495, 3348.9302686108667, 1185.2529912704972,
+        [244, 253, 261, 242],
+        0, [0.0] * 4, 2821.0, None,
+    ),
+    "rack/jsq2/broadcast:2000/1x16": (
+        704.2377290256411, 2171.800088086093, 840.2751541262203,
+        [250, 253, 260, 237],
+        0, [0.0] * 4, 15910.0, None,
+    ),
+    "rack/jsq2/broadcast:2000/16x1": (
+        1106.4006824119574, 3766.9927542257246, 1317.8960766043792,
+        [234, 250, 240, 276],
+        0, [0.0] * 4, 14674.0, None,
+    ),
+    "rack/sed/fresh/1x16": (
+        554.3657371618692, 1099.6831563869325, 582.0969342919997,
+        [241, 259, 252, 248],
+        0, [0.0] * 4, 0.0, None,
+    ),
+    "rack/sed/fresh/16x1": (
+        983.0141800550169, 3518.871090886638, 1173.2011466616718,
+        [236, 253, 260, 251],
+        0, [0.0] * 4, 0.0, None,
+    ),
+    "rack/sed/piggyback/1x16": (
+        573.8918100079945, 1140.8954171035155, 600.3744353125318,
+        [239, 261, 260, 240],
+        0, [0.0] * 4, 3248.0, None,
+    ),
+    "rack/sed/piggyback/16x1": (
+        980.776263409102, 4058.649245306403, 1201.0524742567961,
+        [242, 267, 250, 241],
+        0, [0.0] * 4, 3627.0, None,
+    ),
+    "rack/sed/broadcast:2000/1x16": (
+        1025.97115161263, 2897.9760443231016, 1191.9874242291926,
+        [266, 251, 242, 241],
+        0, [0.0, 0.0, 0.024, 0.036], 26489.0, None,
+    ),
+    "rack/sed/broadcast:2000/16x1": (
+        1299.8132175036458, 4979.34338079311, 1653.3663222428443,
+        [254, 210, 235, 301],
+        0, [0.032, 0.072, 0.056, 0.004], 28601.0, None,
+    ),
+    "rack/jsq2/skew0.9": (
+        584.4151078926193, 1155.1559666873532, 612.7939735465968,
+        [277, 284, 254, 237, 232, 216],
+        0, [0.0] * 6, 4669.0, None,
+    ),
+    "rack/random/slots-bind": (
+        553.3025307290609, 1062.623937044882, 578.9336541546146,
+        [414, 245, 198, 143],
+        0, [0.968, 0.976, 0.976, 0.968], 0.0, None,
+    ),
+    "rack/jsq3/slots-bind": (
+        553.0472442230703, 1063.8089760181458, 577.2411300766546,
+        [247, 252, 246, 249, 251, 255],
+        0, [0.976, 0.98, 0.98, 0.98, 0.98, 0.98], 0.0, None,
+    ),
+    "rack/sed/hetero": (
+        524.904458834078, 1260.125676940199, 567.616189505222,
+        [327, 51, 334, 288],
+        0, [0.0] * 4, 0.0, None,
+    ),
+    "rack/jsq2/diurnal+faults": (
+        621.1320592219381, 1507.089172371264, 672.0676009159362,
+        [221, 140, 255, 218, 232, 258],
+        176, [0.0] * 6, 5451.0, None,
+    ),
+    "rack/random/16x1/crash+fabric": (
+        895.2886653130696, 4217.141226713975, 1256.4734587789285,
+        [236, 175, 259, 249],
+        81, [0.0] * 4, 0.0, None,
+    ),
+    "dc/flat/jsq2": (
+        556.9663628123444, 1112.106408254275, 582.5145683030897,
+        [218, 208, 211, 200, 213, 206, 201, 205, 198, 192, 200, 196, 188, 179, 192, 193],
+        0, [0.0] * 16, 0.0, 0,
+    ),
+    "dc/flat/sed": (
+        554.7147240401872, 1112.106408254275, 579.5282409606417,
+        [196, 197, 196, 197, 197, 197, 200, 201, 204, 192, 209, 205, 198, 208, 203, 200],
+        0, [0.0] * 16, 0.0, 0,
+    ),
+    "dc/racksched/jsq2": (
+        552.1970902082589, 1112.106408254275, 577.7245602481328,
+        [206, 204, 205, 197, 200, 198, 203, 202, 196, 198, 209, 189, 197, 195, 198, 203],
+        0, [0.0] * 16, 0.0, 0,
+    ),
+    "dc/racksched/random/faults": (
+        557.6523346699842, 1119.786048293041, 584.5757384201963,
+        [208, 209, 216, 199, 125, 130, 123, 127, 201, 205, 206, 199, 198, 186, 195, 197],
+        276, [0.0] * 16, 0.0, 0,
+    ),
+    "dc/jbsq/random/k4": (
+        11630.440896169835, 42635.95531320839, 15454.194038011367,
+        [350, 350, 356, 352, 192, 198, 195, 191, 137, 144, 139, 140, 111, 118, 115, 112],
+        0, [0.0] * 16, 0.0, 3136,
+    ),
+    "dc/jbsq/jsq2/faults": (
+        11099.127228915395, 19371.39657513636, 11126.812266938005,
+        [190, 186, 185, 190, 186, 181, 195, 180, 184, 191, 185, 187, 188, 184, 191, 187],
+        210, [0.0] * 16, 0.0, 2926,
+    ),
+    "dc/nanopu/sed/mixed": (
+        387.5191409712834, 1031.7348690371566, 418.02247697137255,
+        [229, 230, 221, 231, 232, 229, 230, 231, 219, 226, 229, 226, 118, 117, 124, 108],
+        0, [0.0] * 16, 0.0, 0,
+    ),
+}
+
+
+class TestFastGolden:
+    def test_grid_is_complete(self):
+        assert set(GOLDEN_CASES) == set(GOLDEN)
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_matches_recorded_outputs(self, case):
+        assert GOLDEN_CASES[case]() == GOLDEN[case]
+
+
+@pytest.mark.parametrize(
+    "engine, kwargs, match",
+    [
+        ("rack", dict(policy="jsq2", send_slots_per_node=0), "send_slots_per_node"),
+        ("rack", dict(policy="jsq2", send_slots_per_node=-1), "send_slots_per_node"),
+        ("rack", dict(warmup_fraction=-0.5), "warmup_fraction"),
+        ("rack", dict(warmup_fraction=1.0), "warmup_fraction"),
+        ("dc", dict(warmup_fraction=1.0), "warmup_fraction"),
+        ("rack", dict(core_counts=[16, 16, 16]), "core_counts has 3 entries"),
+        ("rack", dict(core_counts=[16, 0, 16, 16]), "core counts"),
+        ("dc", dict(cores=0), "core counts"),
+        ("rack", dict(speed_factors=[1.0, 1.0]), "speed_factors has 2 entries"),
+        ("rack", dict(speed_factors=[1.0, 0.0, 1.0, 1.0]), "speed_factors"),
+        ("rack", dict(per_node_mrps=float("nan")), "per_node_mrps"),
+        ("dc", dict(requests_per_node=0), "requests_per_node"),
+    ],
+)
+def test_invalid_configs_raise_actionable_errors(engine, kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        if engine == "rack":
+            simulate_rack_fast(4, requests_per_node=100, **kwargs)
+        else:
+            simulate_datacenter_fast(
+                DatacenterTopology(2, 2), **{"requests_per_node": 100, **kwargs}
+            )
 
 
 class TestEngineSelection:
