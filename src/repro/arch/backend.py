@@ -7,17 +7,21 @@ message-completion check, and — once a ``send`` is fully received —
 forwarding a *message completion packet* to the NI dispatcher over the
 mesh.
 
-The pipeline is modeled as a serialized server: a message of P packets
-occupies the backend for ``backend_fixed_ns + P·backend_per_packet_ns``.
-Outgoing replies and plain one-sided writes occupy the same pipeline,
-so heavy egress traffic can (realistically) delay ingress handling.
+The pipeline is modeled as a serialized FIFO server: a work item of P
+packets occupies the backend for ``backend_fixed_ns +
+P·backend_per_packet_ns``. Outgoing replies and plain one-sided writes
+occupy the same pipeline, so heavy egress traffic can (realistically)
+delay ingress handling. The server is callback-driven: an item that
+finds the backend idle schedules its own completion; a completion does
+its accounting and then starts the next waiting item.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING
 
-from ..sim import Store, delayed_call
+from ..sim import delayed_call
 from .packets import OneSidedWrite, SendMessage
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -32,7 +36,9 @@ class NIBackend:
     def __init__(self, chip: "Chip", backend_id: int) -> None:
         self.chip = chip
         self.backend_id = backend_id
-        self._pipeline: Store = Store(chip.env)
+        #: (kind, item, packets) work items waiting behind the one in service.
+        self._waiting: deque = deque()
+        self._busy = False
         #: Observability counters.
         self.messages_reassembled = 0
         self.replies_sent = 0
@@ -41,66 +47,56 @@ class NIBackend:
         #: Telemetry: pipeline-depth histogram, installed by
         #: :func:`repro.telemetry.instrument_chip` (None = disabled).
         self.depth_hist = None
-        chip.env.process(self._run(), name=f"backend{backend_id}")
 
     # -- ingress/egress entry points ------------------------------------------
 
     def receive_message(self, msg: SendMessage) -> None:
         """A ``send`` message starts arriving from the network."""
-        self._pipeline.put(("ingress", msg))
+        self._submit("ingress", msg, msg.num_packets)
         hist = self.depth_hist
         if hist is not None:
-            hist.record(len(self._pipeline))
+            hist.record(len(self._waiting))
 
     def send_reply(self, num_packets: int) -> None:
         """A core's reply ``send`` leaves through this backend."""
-        self._pipeline.put(("egress", num_packets))
+        self._submit("egress", None, num_packets)
 
     def occupy_pipeline(self, num_packets: int) -> None:
         """Charge generic data movement (one-sided payloads) to the
         pipeline without counting it as a reply."""
-        self._pipeline.put(("data", num_packets))
+        self._submit("data", None, num_packets)
 
     def receive_onesided(self, op: OneSidedWrite) -> None:
         """A plain one-sided write: memory traffic only, no dispatch."""
-        self._pipeline.put(("onesided", op))
+        self._submit("onesided", op, op.num_packets)
 
     @property
     def queue_depth(self) -> int:
         """Work items waiting at this backend's pipeline."""
-        return len(self._pipeline)
+        return len(self._waiting)
 
     # -- the pipeline ------------------------------------------------------------
 
-    def _occupancy_ns(self, num_packets: int) -> float:
+    def _submit(self, kind: str, item, num_packets: int) -> None:
+        if self._busy:
+            self._waiting.append((kind, item, num_packets))
+            return
+        self._busy = True
         config = self.chip.config
-        return config.backend_fixed_ns + num_packets * config.backend_per_packet_ns
+        busy = config.backend_fixed_ns + num_packets * config.backend_per_packet_ns
+        self.chip.env.schedule_call(busy, self._finish, kind, item, busy)
 
-    def _run(self):
-        env = self.chip.env
-        while True:
-            kind, item = yield self._pipeline.get()
-            if kind == "ingress":
-                busy = self._occupancy_ns(item.num_packets)
-                yield env.timeout(busy)
-                self.busy_ns += busy
-                self._message_complete(item)
-            elif kind == "egress":
-                busy = self._occupancy_ns(item)
-                yield env.timeout(busy)
-                self.busy_ns += busy
-                self.replies_sent += 1
-            elif kind == "data":
-                busy = self._occupancy_ns(item)
-                yield env.timeout(busy)
-                self.busy_ns += busy
-            elif kind == "onesided":
-                busy = self._occupancy_ns(item.num_packets)
-                yield env.timeout(busy)
-                self.busy_ns += busy
-                self.onesided_handled += 1
-            else:  # pragma: no cover - defensive
-                raise RuntimeError(f"unknown backend work item {kind!r}")
+    def _finish(self, kind: str, item, busy: float) -> None:
+        self.busy_ns += busy
+        if kind == "ingress":
+            self._message_complete(item)
+        elif kind == "egress":
+            self.replies_sent += 1
+        elif kind == "onesided":
+            self.onesided_handled += 1
+        self._busy = False
+        if self._waiting:
+            self._submit(*self._waiting.popleft())
 
     def _message_complete(self, msg: SendMessage) -> None:
         """All packets of ``msg`` written; counters confirmed complete."""

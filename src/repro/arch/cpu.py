@@ -48,17 +48,19 @@ class CoreProgram(abc.ABC):
 
 
 class Core:
-    """One CPU core spinning on its private CQ."""
+    """One CPU core spinning on its private CQ (a callback-driven server)."""
 
     def __init__(self, chip: "Chip", core_id: int, program: CoreProgram) -> None:
         self.chip = chip
         self.core_id = core_id
         self.program = program
         self.qp = QueuePair(chip.env, core_id)
+        self.qp.core = self
+        #: True from a request's pickup until the core pulls its next CQE.
+        self.busy = False
         #: Observability: processed count and busy time (for utilization).
         self.processed = 0
         self.busy_ns = 0.0
-        chip.env.process(self._run(), name=f"core{core_id}")
 
     @property
     def utilization_of(self) -> float:
@@ -66,24 +68,30 @@ class Core:
         now = self.chip.env.now
         return self.busy_ns / now if now > 0 else 0.0
 
-    def _run(self):
-        env = self.chip.env
+    def start(self, msg: SendMessage) -> None:
+        """Pick up ``msg`` from the CQ and run it to its replenish."""
+        self.busy = True
         chip = self.chip
-        program = self.program
-        while True:
-            msg: SendMessage = yield self.qp.cq.get()
-            pre = program.pre_ns(msg) + msg.extra_pre_ns
-            if chip.interference is not None:
-                # §3.2 tail-inducing events: stall before the RPC runs.
-                pre += chip.interference.pause_ns(
-                    self.core_id, env.now, chip._interference_rng
-                )
-            post = program.post_ns(msg) + chip.per_request_core_overhead_ns
-            msg.t_start = env.now + pre
-            occupancy = pre + msg.service_ns + post
-            yield env.timeout(occupancy)
-            msg.t_replenish = env.now
-            msg.core_id = self.core_id
-            self.processed += 1
-            self.busy_ns += occupancy
-            chip.complete_request(msg, self)
+        env = chip.env
+        pre = self.program.pre_ns(msg) + msg.extra_pre_ns
+        if chip.interference is not None:
+            # §3.2 tail-inducing events: stall before the RPC runs.
+            pre += chip.interference.pause_ns(
+                self.core_id, env.now, chip._interference_rng
+            )
+        post = self.program.post_ns(msg) + chip.per_request_core_overhead_ns
+        msg.t_start = env.now + pre
+        occupancy = pre + msg.service_ns + post
+        env.schedule_call(occupancy, self._finish, msg, occupancy)
+
+    def _finish(self, msg: SendMessage, occupancy: float) -> None:
+        msg.t_replenish = self.chip.env.now
+        msg.core_id = self.core_id
+        self.processed += 1
+        self.busy_ns += occupancy
+        self.chip.complete_request(msg, self)
+        cq = self.qp.cq
+        if cq:
+            self.start(cq.popleft())
+        else:
+            self.busy = False

@@ -3,13 +3,15 @@
 Each core owns one QP: a Work Queue the core writes WQEs into and a
 Completion Queue the NI writes CQEs into. In the simulator the CQ is
 the core's private request inbox (the object the paper's step 8 writes
-into); the WQ exists for API completeness — the microbenchmark folds
-WQE-write costs into its per-request issue costs, but examples and
-tests exercise the WQ path explicitly.
+into), a plain deque of CQEs waiting behind the one in service. The
+WQ, a :class:`repro.sim.Store`, exists for API completeness — the
+microbenchmark folds WQE-write costs into its per-request issue costs,
+but examples and tests exercise the WQ path explicitly.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any
 
 from ..sim import Environment, Store
@@ -51,15 +53,17 @@ class QueuePair:
     The CQ is unbounded: under the paper's 16×1 configuration all
     queueing happens here, and under RPCValet the dispatcher's
     outstanding-limit (not the CQ capacity) bounds its depth — which
-    tests assert.
+    tests assert. A CQE posted to an idle core starts it at once.
     """
 
-    __slots__ = ("core_id", "wq", "cq", "max_cq_depth", "depth_hist")
+    __slots__ = ("core_id", "wq", "cq", "core", "max_cq_depth", "depth_hist")
 
     def __init__(self, env: Environment, core_id: int) -> None:
         self.core_id = core_id
         self.wq: Store = Store(env)
-        self.cq: Store = Store(env)
+        self.cq: deque = deque()
+        #: The :class:`repro.arch.cpu.Core` polling this CQ, if any.
+        self.core = None
         #: High-water mark of CQ depth, for the single-queue invariant.
         self.max_cq_depth = 0
         #: Telemetry: CQ-depth histogram, installed by
@@ -68,7 +72,11 @@ class QueuePair:
 
     def post_cqe(self, item: Any) -> None:
         """NI-side: write a completion entry into the core's CQ."""
-        self.cq.put(item)
+        core = self.core
+        if core is not None and not core.busy:
+            core.start(item)
+        else:
+            self.cq.append(item)
         depth = len(self.cq)
         if depth > self.max_cq_depth:
             self.max_cq_depth = depth

@@ -150,69 +150,73 @@ class ClusterNode:
         self._peer_ids: List[int] = [
             n for n in range(cluster.num_nodes) if n != node_id
         ]
+        self._arrival_rng = rngs.stream("arrivals")
+        self._peer_rng = rngs.stream("peers")
+        self._service_rng = rngs.stream("service")
 
     # -- client side --------------------------------------------------------
 
     def start_traffic(self, per_node_rps: float, num_requests: int) -> None:
-        generate = (
-            self._generate_robust if self.cluster.robust else self._generate
-        )
-        self.cluster.env.process(
-            generate(per_node_rps, num_requests),
-            name=f"traffic-node{self.node_id}",
-        )
-
-    def _generate(self, per_node_rps: float, num_requests: int):
-        env = self.cluster.env
-        arrival_rng = self._rngs.stream("arrivals")
-        peer_rng = self._rngs.stream("peers")
-        service_rng = self._rngs.stream("service")
-        mean_gap_ns = 1e9 / per_node_rps
-        peers = [n for n in range(self.cluster.num_nodes) if n != self.node_id]
-        workload = self.cluster.workload
-        router = self.cluster.router
-        speeds = self.cluster.speed_factors
-        tracer = self.cluster.tracer
+        """Start this node's open-loop arrival chain."""
+        cluster = self.cluster
+        self._mean_gap_ns = 1e9 / per_node_rps
+        self._num_requests = num_requests
         # Population-driven load: pre-draw this node's whole gap batch
         # from the process; None keeps the historical per-request
         # scalar draws (byte-identical stream consumption).
-        process = self.cluster.arrival_process
-        gaps = (
-            process.sample_gaps(arrival_rng, num_requests)
+        process = cluster.arrival_process
+        self._gaps = (
+            process.sample_gaps(self._arrival_rng, num_requests)
             if process is not None
             else None
         )
-        for index in range(num_requests):
-            yield env.timeout(
-                float(gaps[index])
-                if gaps is not None
-                else arrival_rng.exponential(mean_gap_ns)
+        self._schedule_arrival(self._arrive_robust if cluster.robust else self._arrive, 0)
+
+    def _schedule_arrival(self, arrive: Callable[[int], None], index: int) -> None:
+        """Schedule arrival ``index`` one gap from now. Arrivals send
+        before they call this: the draw order of a per-request loop."""
+        if index < self._num_requests:
+            gap = (
+                float(self._gaps[index])
+                if self._gaps is not None
+                else self._arrival_rng.exponential(self._mean_gap_ns)
             )
-            trace = None
-            if tracer is not None:
-                trace = tracer.maybe_trace(self.node_id, env.now)
-                if trace is not None and router is not None:
-                    router.trace_capture = trace
-            if router is not None:
-                dst = router.choose(self.node_id, peer_rng)
-            else:
-                dst = peers[int(peer_rng.integers(0, len(peers)))]
-            service_ns, label = workload.sample(service_rng)
-            if speeds is not None:
-                # A node at speed s processes the same RPC in 1/s the
-                # time; slower nodes stretch it.
-                service_ns /= speeds[dst]
-            self.generated += 1
-            if trace is not None:
-                trace.label = label
-            free = self._free_slots[dst]
-            if free:
-                self._send(dst, free.pop(), service_ns, label, trace)
-            else:
-                self.stalled += 1
-                self._pending.setdefault(dst, deque()).append(
-                    (dst, service_ns, label, trace)
-                )
+            self.cluster.env.schedule_call(gap, arrive, index)
+
+    def _arrive(self, index: int) -> None:
+        """One legacy-mode arrival: route, sample, and send (or stall)."""
+        cluster = self.cluster
+        router = cluster.router
+        tracer = cluster.tracer
+        trace = None
+        if tracer is not None:
+            trace = tracer.maybe_trace(self.node_id, cluster.env.now)
+            if trace is not None and router is not None:
+                router.trace_capture = trace
+        peer_rng = self._peer_rng
+        if router is not None:
+            dst = router.choose(self.node_id, peer_rng)
+        else:
+            peers = self._peer_ids
+            dst = peers[int(peer_rng.integers(0, len(peers)))]
+        service_ns, label = cluster.workload.sample(self._service_rng)
+        speeds = cluster.speed_factors
+        if speeds is not None:
+            # A node at speed s processes the same RPC in 1/s the
+            # time; slower nodes stretch it.
+            service_ns /= speeds[dst]
+        self.generated += 1
+        if trace is not None:
+            trace.label = label
+        free = self._free_slots[dst]
+        if free:
+            self._send(dst, free.pop(), service_ns, label, trace)
+        else:
+            self.stalled += 1
+            self._pending.setdefault(dst, deque()).append(
+                (dst, service_ns, label, trace)
+            )
+        self._schedule_arrival(self._arrive, index + 1)
 
     def _send(
         self,
@@ -247,46 +251,30 @@ class ClusterNode:
 
     # -- robust client side: timeouts, retries, hedges -----------------------
 
-    def _generate_robust(self, per_node_rps: float, num_requests: int):
-        """Open-loop traffic with per-RPC robustness (robust mode only)."""
+    def _arrive_robust(self, index: int) -> None:
+        """One robust-mode arrival: a logical RPC with its first attempt."""
         cluster = self.cluster
         env = cluster.env
-        arrival_rng = self._rngs.stream("arrivals")
-        service_rng = self._rngs.stream("service")
-        mean_gap_ns = 1e9 / per_node_rps
-        workload = cluster.workload
-        stats = cluster.injector.stats
-        hedge_ns = cluster.retry.hedge_ns
+        service_ns, label = cluster.workload.sample(self._service_rng)
+        rpc = _Rpc(service_ns, label, env.now)
         tracer = cluster.tracer
-        process = cluster.arrival_process
-        gaps = (
-            process.sample_gaps(arrival_rng, num_requests)
-            if process is not None
-            else None
-        )
-        for index in range(num_requests):
-            yield env.timeout(
-                float(gaps[index])
-                if gaps is not None
-                else arrival_rng.exponential(mean_gap_ns)
-            )
-            service_ns, label = workload.sample(service_rng)
-            rpc = _Rpc(service_ns, label, env.now)
-            if tracer is not None:
-                trace = tracer.maybe_trace(self.node_id, env.now)
-                if trace is not None:
-                    trace.label = label
-                    rpc.trace = trace
-            self.generated += 1
-            stats.offered += 1
-            self._launch_attempt(rpc)
-            if hedge_ns is not None:
-                env.schedule_call(hedge_ns, self._maybe_hedge, rpc)
+        if tracer is not None:
+            trace = tracer.maybe_trace(self.node_id, env.now)
+            if trace is not None:
+                trace.label = label
+                rpc.trace = trace
+        self.generated += 1
+        cluster.injector.stats.offered += 1
+        self._launch_attempt(rpc)
+        hedge_ns = cluster.retry.hedge_ns
+        if hedge_ns is not None:
+            env.schedule_call(hedge_ns, self._maybe_hedge, rpc)
+        self._schedule_arrival(self._arrive_robust, index + 1)
 
     def _launch_attempt(self, rpc: _Rpc, kind: str = "first") -> None:
         """Issue one physical attempt of ``rpc`` (first, retry, or hedge)."""
         cluster = self.cluster
-        peer_rng = self._rngs.stream("peers")
+        peer_rng = self._peer_rng
         router = cluster.router
         injector = cluster.injector
         trace = rpc.trace

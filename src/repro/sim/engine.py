@@ -211,7 +211,7 @@ class Environment:
 
         # Hot loops: the body of :meth:`step` is inlined with the heap
         # and heappop bound to locals — the per-event call/lookup
-        # overhead is measurable at ~10 kernel events per simulated RPC.
+        # overhead is measurable at ~8 kernel events per simulated RPC.
         queue = self._queue
         pop = heappop
         sampler = self._sampler

@@ -6,8 +6,9 @@ an exception, and *processes* are Python generators that ``yield`` events
 to suspend themselves until those events fire.
 
 Everything in the RPCValet reproduction — NI pipelines, cores, traffic
-generators, lock models — is expressed on top of these primitives, so
-their semantics are deliberately small and rigorously tested:
+generators, lock models — is expressed on top of these primitives (the
+per-RPC path as pooled :class:`Callback` chains), so their semantics
+are deliberately small and rigorously tested:
 
 * an event may be triggered exactly once (``succeed`` or ``fail``);
 * callbacks added before the trigger run when the event is processed by

@@ -2,9 +2,8 @@
 
 Three primitives cover every synchronization pattern in the models:
 
-* :class:`Store` — an (optionally bounded) FIFO buffer of items.
-  Queue pairs (WQs/CQs), the shared completion queue, and per-core
-  receive queues are all Stores.
+* :class:`Store` — an (optionally bounded) FIFO buffer of items with
+  blocking ``get``/``put`` events (a queue pair's WQ is one).
 * :class:`PriorityStore` — a Store that hands out the smallest item
   first; used where ordering matters (e.g. priority dispatch ablation).
 * :class:`Resource` — ``capacity`` identical slots with FIFO waiters;

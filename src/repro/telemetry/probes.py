@@ -87,7 +87,7 @@ def instrument_chip(chip: "Chip", hub: TelemetryHub) -> TelemetryHub:
     for backend in chip.backends:
         hub.add_probe(
             f"backend[{backend.backend_id}].pipeline",
-            lambda b=backend: len(b._pipeline),
+            lambda b=backend: b.queue_depth,
         )
     hub.add_probe("recv_slots", lambda rb=chip.receive_buffer: rb.occupied)
     return hub

@@ -122,10 +122,8 @@ class ClosedLoopClients:
         if self._remaining[key] <= 0:
             return
         if self.think_time_ns > 0:
-            from ..sim import delayed_call
-
             delay = self._think_rng.exponential(self.think_time_ns)
-            delayed_call(self.chip.env, delay, self._issue, msg.src_node, msg.slot)
+            self.chip.env.schedule_call(delay, self._issue, msg.src_node, msg.slot)
         else:
             self._issue(msg.src_node, msg.slot)
 
@@ -211,15 +209,7 @@ class TrafficGenerator:
         self.generated = 0
 
         chip.on_slot_replenished = self._on_slot_replenished
-        chip.env.process(self._run(), name="traffic")
 
-    # -- arrival loop --------------------------------------------------------
-
-    def _run(self):
-        env = self.chip.env
-        mean_gap_ns = 1e9 / self.arrival_rate_rps
-        num_remote = self.chip.config.num_remote_nodes
-        n = self.num_requests
         # Pre-draw every request in one vectorized call per stream
         # instead of 3+ scalar Generator calls per request — the
         # arch-simulator hot path. Arrivals, sources, and services are
@@ -227,41 +217,47 @@ class TrafficGenerator:
         # bitstream exactly like the former per-request scalar draws.
         # An arrival process (repro.popload) replaces only the gap
         # batch; StationaryPoisson makes the identical vectorized call.
-        if self.arrival_process is not None:
-            gaps = self.arrival_process.sample_gaps(self._arrival_rng, n)
+        n = num_requests
+        if arrival_process is not None:
+            self._gaps = arrival_process.sample_gaps(self._arrival_rng, n)
         else:
-            gaps = self._arrival_rng.exponential(mean_gap_ns, size=n)
+            self._gaps = self._arrival_rng.exponential(1e9 / arrival_rate_rps, size=n)
         if self._source_probs is not None:
-            sources = self._source_rng.choice(
+            self._sources = self._source_rng.choice(
                 num_remote, size=n, p=self._source_probs
             )
         else:
-            sources = self._source_rng.integers(0, num_remote, size=n)
-        services, labels = self.workload.sample_batch(self._service_rng, n)
-        timeout = env.timeout
-        static = self.slot_policy == "static"
-        for msg_id in range(n):
-            yield timeout(float(gaps[msg_id]))
-            src = int(sources[msg_id])
-            service_ns = float(services[msg_id])
-            label = labels[msg_id]
-            self.generated += 1
-            if static:
-                free = self._free_slots[src]
-                if free:
-                    self._send_static(msg_id, src, free.pop(), service_ns, label)
-                else:
-                    self.stalled += 1
-                    self._pending.setdefault(src, deque()).append(
-                        (msg_id, src, service_ns, label)
-                    )
+            self._sources = self._source_rng.integers(0, num_remote, size=n)
+        self._services, self._labels = workload.sample_batch(self._service_rng, n)
+        chip.env.schedule_call(float(self._gaps[0]), self._arrive, 0)
+
+    # -- arrival chain -------------------------------------------------------
+
+    def _arrive(self, msg_id: int) -> None:
+        """Request ``msg_id`` arrives; then schedule the next arrival."""
+        src = int(self._sources[msg_id])
+        service_ns = float(self._services[msg_id])
+        label = self._labels[msg_id]
+        self.generated += 1
+        if self.slot_policy == "static":
+            free = self._free_slots[src]
+            if free:
+                self._send_static(msg_id, src, free.pop(), service_ns, label)
             else:
-                index = self.pool.allocate()
-                if index is not None:
-                    self._send_dynamic(msg_id, src, index, service_ns, label)
-                else:
-                    self.stalled += 1
-                    self._pool_pending.append((msg_id, src, service_ns, label))
+                self.stalled += 1
+                self._pending.setdefault(src, deque()).append(
+                    (msg_id, src, service_ns, label)
+                )
+        else:
+            index = self.pool.allocate()
+            if index is not None:
+                self._send_dynamic(msg_id, src, index, service_ns, label)
+            else:
+                self.stalled += 1
+                self._pool_pending.append((msg_id, src, service_ns, label))
+        msg_id += 1
+        if msg_id < self.num_requests:
+            self.chip.env.schedule_call(float(self._gaps[msg_id]), self._arrive, msg_id)
 
     def _send_static(
         self, msg_id: int, src: int, slot: int, service_ns: float, label: str

@@ -4,8 +4,9 @@ import pytest
 
 from repro.arch import Chip, ChipConfig, make_replenish, make_send
 from repro.balancing import Grouped, Partitioned, SingleQueue
+from repro.core import make_system
 from repro.sim import Environment, RngRegistry
-from repro.workloads import MicrobenchCosts, MicrobenchProgram
+from repro.workloads import MicrobenchCosts, MicrobenchProgram, TrafficGenerator
 
 
 def build_chip(scheme=None, config=None, costs=None):
@@ -188,3 +189,20 @@ class TestSchemes:
             groups.add(msg.group_id)
             chip.env.run()
         assert len(groups) == 1  # same source → same core, always
+
+
+class TestEventBudget:
+    def test_kernel_events_per_rpc(self):
+        # The per-RPC chain (arrival, backend reassembly, completion
+        # forward, CQE delivery, core, replenish, reply egress, slot
+        # return) is one kernel event per stage that carries simulated
+        # time — 7.75 per RPC on 1x16 with four backends. Per-RPC
+        # generator processes or Store hand-offs would push it back up.
+        system = make_system("1x16", "herd", seed=0)
+        rngs = RngRegistry(0)
+        chip = system._build(rngs)
+        TrafficGenerator(chip, system.workload, 23e6, 4_000, rngs)  # ≈0.8·C
+        chip.env.run()
+        assert chip.stats.completed == 4_000
+        events = chip.env._next_eid()  # ids handed out so far
+        assert events / chip.stats.completed <= 8.0
