@@ -16,6 +16,13 @@ two-level scheduling testbed the ``ext-rack`` experiment sweeps.
 Racks can be heterogeneous (``core_counts``/``speed_factors``), and
 ``telemetry=True`` attaches per-node shared-CQ and send-slot-credit
 probes plus router decision/staleness instrumentation.
+
+Every run goes through one client path: an arrival creates a logical
+RPC, which launches attempts; an attempt waits for a send-slot credit,
+is sent, and its reply brings the credit back. Faults and retries only
+switch parts of it on. Without a ``FaultPlan`` or ``RetryConfig`` there
+is no fault injector (messages go straight onto the fabric), no
+per-attempt timeout or hedge, and no client-side e2e recording.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import numpy as np
 from ..arch import Chip, ChipConfig, SendMessage, make_send
 from ..balancing import BalancingScheme, SingleQueue
 from ..metrics import LatencyRecorder, LatencySummary
-from ..sim import Environment, RngRegistry, delayed_call
+from ..sim import Environment, RngRegistry
 from ..workloads import MicrobenchCosts, MicrobenchProgram, RpcWorkload
 from .fabric import Fabric, UniformFabric
 
@@ -41,7 +48,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..telemetry import TelemetrySnapshot
     from ..tracing import TraceBuffer, TraceConfig
 
-__all__ = ["Cluster", "ClusterNode", "ClusterResult", "mesh_geometry"]
+__all__ = [
+    "Cluster",
+    "ClusterNode",
+    "ClusterResult",
+    "check_load",
+    "check_speed_factors",
+    "mesh_geometry",
+]
 
 
 def mesh_geometry(num_cores: int) -> Tuple[int, int]:
@@ -63,6 +77,30 @@ def mesh_geometry(num_cores: int) -> Tuple[int, int]:
     return rows, num_cores // rows
 
 
+def check_load(per_node_mrps: float, requests_per_node: int, warmup_fraction: float) -> None:
+    """Reject a load point before any event runs, on every tier.
+
+    NaN or infinite rates would otherwise run to a NaN tail or to
+    zero-gap arrivals, and a bad warm-up fraction would only raise once
+    the whole simulation had finished.
+    """
+    if not (0.0 < per_node_mrps < math.inf and requests_per_node > 0):
+        raise ValueError(
+            "per_node_mrps must be positive and finite and requests_per_node "
+            f"positive, got {per_node_mrps!r} and {requests_per_node!r}"
+        )
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction!r}")
+
+
+def check_speed_factors(speeds: Sequence[float], num_nodes: int) -> None:
+    """Reject per-node speeds that would make service times NaN or zero."""
+    if len(speeds) != num_nodes:
+        raise ValueError(f"speed_factors has {len(speeds)} entries for {num_nodes} nodes")
+    if not all(0.0 < speed < math.inf for speed in speeds):
+        raise ValueError(f"speed_factors must be positive and finite, got {list(speeds)!r}")
+
+
 def _peer_index(sender: int, receiver: int) -> int:
     """The sender's index in the receiver's messaging domain.
 
@@ -73,12 +111,13 @@ def _peer_index(sender: int, receiver: int) -> int:
 
 
 class _Rpc:
-    """One logical RPC in robust (fault-injected) mode.
+    """One logical RPC.
 
     A logical RPC may spawn several physical attempts (retries, a
     hedge); it resolves exactly once — on its first completion, or as
     lost when the retry budget is exhausted and no attempt remains
-    live.
+    live. Without a :class:`~repro.faults.RetryConfig` it has exactly
+    one attempt.
     """
 
     __slots__ = (
@@ -103,6 +142,40 @@ class _Rpc:
         self.trace = None
 
 
+class _Attempt:
+    """One physical attempt of a logical RPC: one request to one server."""
+
+    __slots__ = (
+        "rpc", "client", "dst", "service_ns", "span", "open", "msg_id", "slot",
+        "cancelled", "vanished", "reply_lost", "delivered", "server_done",
+    )
+
+    def __init__(
+        self, rpc: _Rpc, client: "ClusterNode", dst: int, service_ns: float, span, open_: bool
+    ) -> None:
+        self.rpc = rpc
+        self.client = client
+        self.dst = dst
+        #: Service time at ``dst``'s speed when the attempt launched.
+        self.service_ns = service_ns
+        #: Span record when the logical RPC is traced (None otherwise).
+        self.span = span
+        #: True while this attempt holds a +1 in router.outstanding.
+        self.open = open_
+        #: Set by :meth:`ClusterNode._number`; None until then.
+        self.msg_id: Optional[int] = None
+        #: The send slot, once a credit was granted.
+        self.slot: Optional[int] = None
+        self.cancelled = False
+        self.vanished = False
+        self.reply_lost = False
+        self.delivered = False
+        #: The server finished this request (even if the reply was
+        #: suppressed) — its receive slot is free, so the send-slot
+        #: credit is safe to reclaim at recovery.
+        self.server_done = False
+
+
 class ClusterNode:
     """One node: a full chip plus its client-side traffic state."""
 
@@ -123,11 +196,7 @@ class ClusterNode:
             rngs,
         )
         scheme.install(self.chip, rngs.stream("dispatch"))
-        self.chip.on_slot_replenished = (
-            self._replenish_returned_robust
-            if cluster.robust
-            else self._replenish_returned
-        )
+        self.chip.on_slot_replenished = self._replenish_returned
         slots = cluster.config.send_slots_per_node
         self._slots_per_peer = slots
         #: Free send slots toward each destination node (by node id).
@@ -136,17 +205,13 @@ class ClusterNode:
             for dst in range(cluster.num_nodes)
             if dst != node_id
         }
-        self._pending: Dict[int, Deque[Tuple[int, float, str, object]]] = {}
-        #: Legacy-mode traced sends in flight, keyed by (dst, slot):
-        #: populated only for sampled RPCs, so it stays tiny.
-        self._trace_open: Dict[Tuple[int, int], tuple] = {}
+        #: Attempts waiting for a send-slot credit, per destination.
+        self._queued: Dict[int, Deque[_Attempt]] = {}
+        #: Numbered attempts not yet concluded, by msg_id (in id order).
+        self._attempts: Dict[int, _Attempt] = {}
         self.generated = 0
         self.stalled = 0
         self._next_msg_id = 0
-        #: Robust-mode state: live attempt records keyed by msg_id, and
-        #: queued (not-yet-sent) attempt ids per destination.
-        self._attempts: Dict[int, dict] = {}
-        self._queued: Dict[int, Deque[int]] = {}
         self._peer_ids: List[int] = [
             n for n in range(cluster.num_nodes) if n != node_id
         ]
@@ -158,21 +223,20 @@ class ClusterNode:
 
     def start_traffic(self, per_node_rps: float, num_requests: int) -> None:
         """Start this node's open-loop arrival chain."""
-        cluster = self.cluster
         self._mean_gap_ns = 1e9 / per_node_rps
         self._num_requests = num_requests
         # Population-driven load: pre-draw this node's whole gap batch
         # from the process; None keeps the historical per-request
         # scalar draws (byte-identical stream consumption).
-        process = cluster.arrival_process
+        process = self.cluster.arrival_process
         self._gaps = (
             process.sample_gaps(self._arrival_rng, num_requests)
             if process is not None
             else None
         )
-        self._schedule_arrival(self._arrive_robust if cluster.robust else self._arrive, 0)
+        self._schedule_arrival(0)
 
-    def _schedule_arrival(self, arrive: Callable[[int], None], index: int) -> None:
+    def _schedule_arrival(self, index: int) -> None:
         """Schedule arrival ``index`` one gap from now. Arrivals send
         before they call this: the draw order of a per-request loop."""
         if index < self._num_requests:
@@ -181,78 +245,10 @@ class ClusterNode:
                 if self._gaps is not None
                 else self._arrival_rng.exponential(self._mean_gap_ns)
             )
-            self.cluster.env.schedule_call(gap, arrive, index)
+            self.cluster.env.schedule_call(gap, self._arrive, index)
 
     def _arrive(self, index: int) -> None:
-        """One legacy-mode arrival: route, sample, and send (or stall)."""
-        cluster = self.cluster
-        router = cluster.router
-        tracer = cluster.tracer
-        trace = None
-        if tracer is not None:
-            trace = tracer.maybe_trace(self.node_id, cluster.env.now)
-            if trace is not None and router is not None:
-                router.trace_capture = trace
-        peer_rng = self._peer_rng
-        if router is not None:
-            dst = router.choose(self.node_id, peer_rng)
-        else:
-            peers = self._peer_ids
-            dst = peers[int(peer_rng.integers(0, len(peers)))]
-        service_ns, label = cluster.workload.sample(self._service_rng)
-        speeds = cluster.speed_factors
-        if speeds is not None:
-            # A node at speed s processes the same RPC in 1/s the
-            # time; slower nodes stretch it.
-            service_ns /= speeds[dst]
-        self.generated += 1
-        if trace is not None:
-            trace.label = label
-        free = self._free_slots[dst]
-        if free:
-            self._send(dst, free.pop(), service_ns, label, trace)
-        else:
-            self.stalled += 1
-            self._pending.setdefault(dst, deque()).append(
-                (dst, service_ns, label, trace)
-            )
-        self._schedule_arrival(self._arrive, index + 1)
-
-    def _send(
-        self,
-        dst: int,
-        slot: int,
-        service_ns: float,
-        label: str,
-        trace=None,
-    ) -> None:
-        cluster = self.cluster
-        msg = make_send(
-            cluster.config,
-            msg_id=self._next_msg_id,
-            src_node=_peer_index(self.node_id, dst),
-            slot=slot,
-            size_bytes=cluster.workload.request_size_bytes,
-            service_ns=service_ns,
-            label=label,
-        )
-        self._next_msg_id += 1
-        #: Record the true sender for replenish routing.
-        cluster.sender_of[(dst, msg.src_node, msg.slot)] = self.node_id
-        delay = cluster.fabric.latency_ns(self.node_id, dst)
-        if trace is not None:
-            # Legacy mode: one attempt per RPC, launched at generation
-            # time (credit_wait covers any stall in the pending queue).
-            span = trace.new_attempt("first", dst, trace.t_init)
-            span.t_sent = cluster.env.now
-            self._trace_open[(dst, slot)] = (trace, span)
-        target_chip = cluster.nodes[dst].chip
-        delayed_call(cluster.env, delay, target_chip.submit_message, msg)
-
-    # -- robust client side: timeouts, retries, hedges -----------------------
-
-    def _arrive_robust(self, index: int) -> None:
-        """One robust-mode arrival: a logical RPC with its first attempt."""
+        """One arrival: a logical RPC and its first attempt."""
         cluster = self.cluster
         env = cluster.env
         service_ns, label = cluster.workload.sample(self._service_rng)
@@ -264,127 +260,117 @@ class ClusterNode:
                 trace.label = label
                 rpc.trace = trace
         self.generated += 1
-        cluster.injector.stats.offered += 1
-        self._launch_attempt(rpc)
-        hedge_ns = cluster.retry.hedge_ns
-        if hedge_ns is not None:
-            env.schedule_call(hedge_ns, self._maybe_hedge, rpc)
-        self._schedule_arrival(self._arrive_robust, index + 1)
+        self._launch(rpc, "first")
+        retry = cluster.retry
+        if retry is not None:
+            cluster.injector.stats.offered += 1
+            if retry.hedge_ns is not None:
+                env.schedule_call(retry.hedge_ns, self._maybe_hedge, rpc)
+        self._schedule_arrival(index + 1)
 
-    def _launch_attempt(self, rpc: _Rpc, kind: str = "first") -> None:
+    def _launch(self, rpc: _Rpc, kind: str) -> None:
         """Issue one physical attempt of ``rpc`` (first, retry, or hedge)."""
         cluster = self.cluster
-        peer_rng = self._peer_rng
         router = cluster.router
-        injector = cluster.injector
         trace = rpc.trace
         if router is not None:
             if trace is not None:
                 router.trace_capture = trace
-            dst = router.choose(self.node_id, peer_rng)
+            dst = router.choose(self.node_id, self._peer_rng)
         else:
             peers = self._peer_ids
-            dst = peers[int(peer_rng.integers(0, len(peers)))]
-        service_ns = rpc.service_ns
-        speed = (
-            cluster.speed_factors[dst]
-            if cluster.speed_factors is not None
-            else 1.0
-        )
-        # Static heterogeneity composes with any active slowdown fault;
-        # both apply at launch time (the speed the RPC starts with).
-        speed *= injector.speed_multiplier(dst)
-        service_ns /= speed
-        msg_id = self._next_msg_id
-        self._next_msg_id += 1
-        attempt = {
-            "rpc": rpc,
-            "dst": dst,
-            "slot": None,
-            "service_ns": service_ns,
-            "cancelled": False,
-            "vanished": False,
-            "reply_lost": False,
-            "delivered": False,
-            #: The server finished this request (even if the reply was
-            #: suppressed) — its receive slot is free, so the send-slot
-            #: credit is safe to reclaim at recovery.
-            "server_done": False,
-            #: True while this attempt holds a +1 in router.outstanding.
-            "open": router is not None,
-            #: Span record when the logical RPC is traced (None otherwise).
-            "span": (
-                trace.new_attempt(kind, dst, cluster.env.now)
-                if trace is not None
-                else None
-            ),
-        }
-        self._attempts[msg_id] = attempt
+            dst = peers[int(self._peer_rng.integers(0, len(peers)))]
+        # A node at speed s processes the same RPC in 1/s the time.
+        speeds = cluster.speed_factors
+        speed = speeds[dst] if speeds is not None else 1.0
+        injector = cluster.injector
+        if injector is not None:
+            # Static heterogeneity composes with any active slowdown
+            # fault; both apply at launch (the speed the RPC starts with).
+            speed *= injector.speed_multiplier(dst)
+        span = trace.new_attempt(kind, dst, cluster.env.now) if trace is not None else None
+        attempt = _Attempt(rpc, self, dst, rpc.service_ns / speed, span, router is not None)
         rpc.live += 1
+        retry = cluster.retry
+        if retry is not None:
+            self._number(attempt)
         free = self._free_slots[dst]
         if free:
-            self._send_attempt(msg_id, attempt, free.pop())
+            self._send(attempt, free.pop())
         else:
             self.stalled += 1
-            self._queued.setdefault(dst, deque()).append(msg_id)
-        cluster.env.schedule_call(
-            cluster.retry.timeout_ns, self._attempt_timeout, msg_id
-        )
+            self._queued.setdefault(dst, deque()).append(attempt)
+        if retry is not None:
+            cluster.env.schedule_call(retry.timeout_ns, self._attempt_timeout, attempt.msg_id)
 
-    def _send_attempt(self, msg_id: int, attempt: dict, slot: int) -> None:
+    def _number(self, attempt: _Attempt) -> None:
+        """Give ``attempt`` the next message id and track it as live.
+
+        The id picks the server's NI backend (``msg_id % num_backends``),
+        so when ids are taken is part of the output: with a retry config
+        every launch takes one (a queued attempt that times out has
+        used its id up); without one, ids go out at send time, so a
+        stalled RPC takes its id when a credit frees.
+        """
+        msg_id = attempt.msg_id = self._next_msg_id
+        self._next_msg_id = msg_id + 1
+        self._attempts[msg_id] = attempt
+
+    def _send(self, attempt: _Attempt, slot: int) -> None:
         cluster = self.cluster
-        dst = attempt["dst"]
-        attempt["slot"] = slot
+        if cluster.retry is None:
+            self._number(attempt)
+        dst = attempt.dst
+        attempt.slot = slot
         msg = make_send(
             cluster.config,
-            msg_id=msg_id,
+            msg_id=attempt.msg_id,
             src_node=_peer_index(self.node_id, dst),
             slot=slot,
             size_bytes=cluster.workload.request_size_bytes,
-            service_ns=attempt["service_ns"],
-            label=attempt["rpc"].label,
+            service_ns=attempt.service_ns,
+            label=attempt.rpc.label,
         )
-        #: Robust mode stores (sender, msg_id) so a reclaimed-and-reissued
-        #: slot cannot be credited to the wrong attempt.
-        cluster.sender_of[(dst, msg.src_node, slot)] = (self.node_id, msg_id)
+        cluster.sender_of[(dst, msg.src_node, slot)] = attempt
         delay = cluster.fabric.latency_ns(self.node_id, dst)
-        span = attempt["span"]
+        span = attempt.span
         if span is not None:
             span.t_sent = cluster.env.now
-        fate = cluster.injector.transmit(
-            delay, cluster._deliver_request, self.node_id, dst, msg, msg_id
-        )
+        injector = cluster.injector
+        if injector is None:
+            cluster.env.schedule_call(delay, cluster.nodes[dst].chip.submit_message, msg)
+            return
+        deliver = cluster._deliver_request
+        fate = injector.transmit(delay, deliver, self.node_id, dst, msg, msg.msg_id)
         if fate == "drop":
-            attempt["vanished"] = True
+            attempt.vanished = True
             if span is not None:
                 span.add_event("request_dropped", cluster.env.now)
 
     def _attempt_timeout(self, msg_id: int) -> None:
         attempt = self._attempts.get(msg_id)
-        if attempt is None or attempt["cancelled"]:
+        if attempt is None or attempt.cancelled:
             return
         cluster = self.cluster
         stats = cluster.injector.stats
-        rpc = attempt["rpc"]
-        attempt["cancelled"] = True
+        rpc = attempt.rpc
+        attempt.cancelled = True
         stats.timeouts += 1
         rpc.live -= 1
-        span = attempt["span"]
+        span = attempt.span
         if span is not None:
             span.status = "timeout"
             span.add_event("timeout", cluster.env.now)
-        if attempt["open"]:
-            attempt["open"] = False
-            cluster.router.on_attempt_abandoned(attempt["dst"])
-        dst = attempt["dst"]
-        slot = attempt["slot"]
-        if slot is None:
-            # Never sent: drop the record; the queued-id scan skips it.
+        if attempt.open:
+            attempt.open = False
+            cluster.router.on_attempt_abandoned(attempt.dst)
+        if attempt.slot is None:
+            # Never sent: drop the record; the queue scan skips it.
             del self._attempts[msg_id]
-        elif attempt["vanished"] or attempt["reply_lost"]:
+        elif attempt.vanished or attempt.reply_lost:
             # The message (or its reply) provably died in the fabric;
             # the transport aborts the attempt and returns the credit.
-            self._reclaim_attempt(msg_id, attempt)
+            self._reclaim_attempt(attempt)
         # else: leave the record — a late completion may still free the
         # slot, or recovery-time reclaim collects it.
         if rpc.resolved:
@@ -405,170 +391,117 @@ class ClusterNode:
 
     def _retry_attempt(self, rpc: _Rpc) -> None:
         if not rpc.resolved:
-            self._launch_attempt(rpc, "retry")
+            self._launch(rpc, "retry")
 
     def _maybe_hedge(self, rpc: _Rpc) -> None:
         if rpc.resolved:
             return
         self.cluster.injector.stats.hedges += 1
-        self._launch_attempt(rpc, "hedge")
+        self._launch(rpc, "hedge")
 
-    def _reply_received(
-        self, msg_id: int, server: int, reported_load: Optional[float]
-    ) -> None:
-        """A completion reply reached this client (robust mode)."""
+    def _reply_received(self, msg_id: int, server: int, reported_load: Optional[float]) -> None:
+        """A completion reply, carrying the send-slot credit, is back."""
         cluster = self.cluster
-        stats = cluster.injector.stats
-        router = cluster.router
-        if reported_load is not None and router is not None:
-            router.deliver_report(self.node_id, server, reported_load)
+        injector = cluster.injector
+        if reported_load is not None:
+            cluster.router.deliver_report(self.node_id, server, reported_load)
         attempt = self._attempts.pop(msg_id, None)
         if attempt is None:
             # Duplicated reply, or the attempt was already reclaimed.
-            stats.duplicate_completions += 1
+            injector.stats.duplicate_completions += 1
             return
-        rpc = attempt["rpc"]
+        rpc = attempt.rpc
         now = cluster.env.now
-        span = attempt["span"]
+        span = attempt.span
         if span is not None:
             span.t_reply = now
-        if attempt["cancelled"]:
-            stats.late_completions += 1
+        if attempt.cancelled:
+            injector.stats.late_completions += 1
             if span is not None:
                 span.add_event("late_completion", now)
         else:
             rpc.live -= 1
-        slot = attempt["slot"]
-        if slot is not None:
-            self._robust_slot_freed(attempt["dst"], slot)
+        self._slot_freed(attempt.dst, attempt.slot)
         if not rpc.resolved:
             rpc.resolved = True
             cluster.resolved_total += 1
-            stats.completed += 1
-            cluster.e2e_recorder.record(now, now - rpc.t_start, rpc.label)
+            if injector is not None:
+                injector.stats.completed += 1
+                cluster.e2e_recorder.record(now, now - rpc.t_start, rpc.label)
             if rpc.trace is not None:
                 # The span's reply time *is* the recorded e2e endpoint,
                 # so the phase decomposition sums to the recorded value.
                 rpc.trace.finish(now, span)
         else:
-            stats.duplicate_completions += 1
+            injector.stats.duplicate_completions += 1
             if span is not None:
                 span.status = "duplicate"
                 span.add_event("duplicate_completion", now)
 
-    def _reclaim_attempt(self, msg_id: int, attempt: dict) -> None:
-        """Return a dead attempt's send-slot credit (robust mode)."""
-        cluster = self.cluster
-        if self._attempts.pop(msg_id, None) is None:
+    def _reclaim_attempt(self, attempt: _Attempt) -> None:
+        """Return a dead attempt's send-slot credit."""
+        if self._attempts.pop(attempt.msg_id, None) is None:
             return
-        dst = attempt["dst"]
-        slot = attempt["slot"]
-        entry = cluster.sender_of.get((dst, _peer_index(self.node_id, dst), slot))
-        if entry is not None and entry[1] == msg_id:
-            del cluster.sender_of[(dst, _peer_index(self.node_id, dst), slot)]
+        cluster = self.cluster
+        dst = attempt.dst
+        key = (dst, _peer_index(self.node_id, dst), attempt.slot)
+        if cluster.sender_of.get(key) is attempt:
+            del cluster.sender_of[key]
         cluster.injector.stats.reclaimed_slots += 1
-        self._robust_slot_freed(dst, slot)
+        self._slot_freed(dst, attempt.slot)
 
-    def _robust_slot_freed(self, dst: int, slot: int) -> None:
+    def _slot_freed(self, dst: int, slot: int) -> None:
+        """A credit toward ``dst`` is back: the oldest live queued attempt
+        takes it, else it returns to the free list."""
         queued = self._queued.get(dst)
         while queued:
-            msg_id = queued.popleft()
-            attempt = self._attempts.get(msg_id)
-            if attempt is None or attempt["cancelled"]:
-                continue
-            self._send_attempt(msg_id, attempt, slot)
-            return
+            attempt = queued.popleft()
+            if not attempt.cancelled:
+                self._send(attempt, slot)
+                return
         self._free_slots[dst].append(slot)
 
-    # -- server side: replenish routed back to the true sender ---------------
+    # -- server side: the reply routed back to the attempt's client ----------
 
     def _replenish_returned(self, msg: SendMessage) -> None:
         """Called on the *receiving* chip after its local wire delay.
 
-        Routes the credit across the fabric back to the sender node.
-        (The chip already applied ``config.wire_latency_ns``; the
-        cluster uses zero-wire chips and applies fabric latency here.)
-        """
-        cluster = self.cluster
-        cluster.completed_total += 1
-        sender_id = cluster.sender_of.pop(
-            (self.node_id, msg.src_node, msg.slot)
-        )
-        delay = cluster.fabric.latency_ns(self.node_id, sender_id)
-        sender = cluster.nodes[sender_id]
-        if cluster.tracer is not None:
-            entry = sender._trace_open.pop((self.node_id, msg.slot), None)
-            if entry is not None:
-                trace, span = entry
-                # Copy stamps now — the chip recycles ``msg`` right
-                # after this callback returns.
-                span.copy_server(msg)
-                span.t_reply = cluster.env.now + delay
-                trace.finish(cluster.env.now + delay, span)
-        router = cluster.router
-        if router is not None:
-            # The completing server's load after this reply is what a
-            # piggybacked signal would report to the issuing client.
-            reported = router.on_complete(self.node_id)
-            if router.wants_reply_reports:
-                delayed_call(
-                    cluster.env,
-                    delay,
-                    router.deliver_report,
-                    sender_id,
-                    self.node_id,
-                    reported,
-                )
-        delayed_call(
-            cluster.env, delay, sender._slot_freed, self.node_id, msg.slot
-        )
-
-    def _replenish_returned_robust(self, msg: SendMessage) -> None:
-        """Robust-mode completion path: suppression, dedup, reconciliation.
-
-        Differences from the legacy path: a down node's NI sends
-        nothing (reply suppressed); the slot credit is validated
-        against the attempt that currently owns it (a reclaimed slot
-        may have been reissued); the reply — and any piggybacked load
-        report — crosses the fabric through the fault injector, so it
-        can be dropped, duplicated, or delayed like any other message.
+        Sends the reply, and the slot credit it carries, across the
+        fabric to the client that owns the slot. (The chip already
+        applied ``config.wire_latency_ns``; the cluster uses zero-wire
+        chips and applies fabric latency here.) Under faults, a down
+        node's NI sends nothing; the credit is checked against the
+        attempt that owns the slot now (a reclaimed slot may have been
+        reissued); and the reply, with any piggybacked load report,
+        crosses the fault injector, so it can be dropped, duplicated or
+        delayed like any other message.
         """
         cluster = self.cluster
         injector = cluster.injector
-        stats = injector.stats
         key = (self.node_id, msg.src_node, msg.slot)
-        if not injector.node_up(self.node_id):
+        attempt = cluster.sender_of.get(key)
+        if injector is not None and not injector.node_up(self.node_id):
             # Down NI: no reply, no replenish. Mark the attempt done at
             # the server so recovery-time reclaim knows the receive
             # slot is free (reclaiming an attempt whose request is
             # still queued in the pipeline would let the reissued send
             # slot collide with the occupied receive slot).
-            stats.reply_suppressed += 1
-            marker = cluster.sender_of.get(key)
-            if marker is not None and marker[1] == msg.msg_id:
-                done = cluster.nodes[marker[0]]._attempts.get(msg.msg_id)
-                if done is not None:
-                    done["server_done"] = True
-                    span = done["span"]
-                    if span is not None:
-                        # Record the burned server work even though no
-                        # reply leaves (duplicate-service accounting).
-                        span.copy_server(msg)
-                        span.add_event("reply_suppressed", cluster.env.now)
+            injector.stats.reply_suppressed += 1
+            if attempt is not None and attempt.msg_id == msg.msg_id:
+                attempt.server_done = True
+                span = attempt.span
+                if span is not None:
+                    # Record the burned server work even though no
+                    # reply leaves (duplicate-service accounting).
+                    span.copy_server(msg)
+                    span.add_event("reply_suppressed", cluster.env.now)
             return
-        entry = cluster.sender_of.get(key)
-        if entry is None:
-            return  # attempt reclaimed at recovery; orphan completion
-        sender_id, owner_msg_id = entry
-        if owner_msg_id != msg.msg_id:
-            return  # slot reclaimed and reissued; this reply is orphaned
+        if attempt is None or attempt.msg_id != msg.msg_id:
+            return  # the slot was reclaimed (and maybe reissued): an orphan
         del cluster.sender_of[key]
         cluster.completed_total += 1
-        sender = cluster.nodes[sender_id]
-        attempt = sender._attempts.get(msg.msg_id)
-        span = attempt["span"] if attempt is not None else None
-        if attempt is not None:
-            attempt["server_done"] = True
+        attempt.server_done = True
+        span = attempt.span
         if span is not None:
             # Copy stamps before the chip recycles ``msg``; the reply
             # itself may still be dropped or delayed below.
@@ -576,34 +509,29 @@ class ClusterNode:
         router = cluster.router
         reported: Optional[float] = None
         if router is not None:
-            if attempt is not None and attempt["open"]:
-                attempt["open"] = False
+            if attempt.open:
+                attempt.open = False
+                # The completing server's load after this reply is what
+                # a piggybacked signal reports to the issuing client.
                 reported = router.on_complete(self.node_id)
             else:
                 # Outstanding was already corrected at abandonment.
                 reported = float(router.outstanding[self.node_id])
-            if not router.wants_reply_reports or injector.signals_dark():
+            if not cluster._reply_reports or (injector is not None and injector.signals_dark()):
                 reported = None
-        delay = cluster.fabric.latency_ns(self.node_id, sender_id)
-        fate = injector.transmit(
-            delay, sender._reply_received, msg.msg_id, self.node_id, reported
-        )
-        if fate == "drop" and attempt is not None:
-            attempt["reply_lost"] = True
+        client = attempt.client
+        delay = cluster.fabric.latency_ns(self.node_id, client.node_id)
+        reply = client._reply_received
+        if injector is None:
+            cluster.env.schedule_call(delay, reply, msg.msg_id, self.node_id, reported)
+        elif injector.transmit(delay, reply, msg.msg_id, self.node_id, reported) == "drop":
+            attempt.reply_lost = True
             if span is not None:
                 span.add_event("reply_dropped", cluster.env.now)
-            if attempt["cancelled"]:
+            if attempt.cancelled:
                 # The timeout already gave up on this attempt; with the
                 # reply provably gone, reclaim the credit here.
-                sender._reclaim_attempt(msg.msg_id, attempt)
-
-    def _slot_freed(self, dst: int, slot: int) -> None:
-        pending = self._pending.get(dst)
-        if pending:
-            _dst, service_ns, label, trace = pending.popleft()
-            self._send(dst, slot, service_ns, label, trace)
-        else:
-            self._free_slots[dst].append(slot)
+                client._reclaim_attempt(attempt)
 
     # -- observability -------------------------------------------------------
 
@@ -637,7 +565,7 @@ class ClusterResult:
     router_stats: Optional["RouterStats"] = None
     #: Telemetry snapshot, when the cluster ran instrumented.
     telemetry: Optional["TelemetrySnapshot"] = None
-    #: Robust-mode (fault-injected) results; None on legacy runs.
+    #: Robust-run results (faults and/or retries); None when fault-free.
     #: ``e2e`` is the *client-side* end-to-end latency of each logical
     #: RPC, including queueing for credits, retries, and hedging —
     #: ``aggregate`` keeps its historical server-side meaning.
@@ -746,13 +674,7 @@ class Cluster:
         else:
             self.node_configs = [self.config] * num_nodes
         if speed_factors is not None:
-            if len(speed_factors) != num_nodes:
-                raise ValueError(
-                    f"speed_factors has {len(speed_factors)} entries for "
-                    f"{num_nodes} nodes"
-                )
-            if any(speed <= 0 for speed in speed_factors):
-                raise ValueError("speed_factors must be positive")
+            check_speed_factors(speed_factors, num_nodes)
             self.speed_factors: Optional[List[float]] = [
                 float(speed) for speed in speed_factors
             ]
@@ -766,9 +688,9 @@ class Cluster:
         self.seed = seed
         self.rngs = RngRegistry(seed)
         self.env = Environment()
-        #: (receiver, sender_perspective_index, slot) → sender node id
-        #: (legacy mode) or (sender node id, msg_id) (robust mode).
-        self.sender_of: Dict[Tuple[int, int, int], object] = {}
+        #: (receiver, sender_perspective_index, slot) → the attempt that
+        #: holds that send slot: the reply's route back to its client.
+        self.sender_of: Dict[Tuple[int, int, int], _Attempt] = {}
         #: Completions across all nodes so far (drained-traffic check).
         self.completed_total = 0
         self._expected_total = 0
@@ -776,8 +698,8 @@ class Cluster:
         self.router = router
         self.telemetry = telemetry
         self.telemetry_interval_ns = telemetry_interval_ns
-        #: Robust mode: fault injection and/or client-side retries. The
-        #: legacy path (both None) is byte-identical to previous behaviour.
+        #: Fault injection and/or client-side retries. Without either,
+        #: the injector, timeouts, hedges and client e2e stay off.
         self.robust = faults is not None or retry is not None
         self.injector: Optional["FaultInjector"] = None
         self.retry: Optional["RetryConfig"] = None
@@ -809,6 +731,9 @@ class Cluster:
         ]
         if router is not None:
             router.bind(self)
+        #: Whether replies piggyback load reports. Read once: the router
+        #: property re-imports its signal class on every access.
+        self._reply_reports = router is not None and router.wants_reply_reports
         if interference_factory is not None:
             # Per-node §3.2 interference (e.g. one degraded node):
             # the factory returns None for healthy nodes.
@@ -834,45 +759,41 @@ class Cluster:
     def traffic_drained(self) -> bool:
         """True once every generated request has completed.
 
-        In robust mode, "completed" means every logical RPC *resolved*
+        In a robust run, "completed" means every logical RPC *resolved*
         — completed once or declared lost — so heartbeat / broadcast /
         detector processes terminate even when some requests die to
-        injected faults.
+        injected faults. A fault-free run counts server-side completions
+        (at replenish), not replies back at clients: those land one
+        fabric delay later, and a broadcast loop polling this would tick
+        once more and move ``env.now``.
         """
-        if self.robust:
-            return (
-                self._expected_total > 0
-                and self.resolved_total >= self._expected_total
-            )
-        return (
-            self._expected_total > 0
-            and self.completed_total >= self._expected_total
-        )
+        done = self.resolved_total if self.robust else self.completed_total
+        return self._expected_total > 0 and done >= self._expected_total
 
-    # -- robust-mode fabric delivery and recovery reclaim --------------------
+    # -- fault-injected fabric delivery and recovery reclaim ------------------
 
     def _deliver_request(
         self, src: int, dst: int, msg: SendMessage, msg_id: int
     ) -> None:
-        """One request arrives at ``dst``'s NI (robust mode only)."""
-        attempt = self.nodes[src]._attempts.get(msg_id)
+        """One request arrives at ``dst``'s NI through the fault injector."""
+        sender = self.nodes[src]
+        attempt = sender._attempts.get(msg_id)
         if not self.injector.node_up(dst):
             self.injector.stats.crash_drops += 1
             if attempt is not None:
-                attempt["vanished"] = True
-                span = attempt["span"]
-                if span is not None:
-                    span.add_event("crash_drop", self.env.now)
-                if attempt["cancelled"]:
+                attempt.vanished = True
+                if attempt.span is not None:
+                    attempt.span.add_event("crash_drop", self.env.now)
+                if attempt.cancelled:
                     # A delay spike pushed arrival past the client's
                     # timeout; reclaim the credit now that the message
                     # provably died.
-                    self.nodes[src]._reclaim_attempt(msg_id, attempt)
+                    sender._reclaim_attempt(attempt)
             return
         if attempt is not None:
-            if attempt["delivered"]:
+            if attempt.delivered:
                 return  # NI sequence-number dedup of a duplicated request
-            attempt["delivered"] = True
+            attempt.delivered = True
         self.nodes[dst].chip.submit_message(msg)
 
     def _reclaim_after_recovery(self, node: int) -> None:
@@ -887,15 +808,15 @@ class Cluster:
             if sender.node_id == node:
                 continue
             stale = [
-                (msg_id, attempt)
-                for msg_id, attempt in sender._attempts.items()
-                if attempt["dst"] == node
-                and attempt["cancelled"]
-                and attempt["slot"] is not None
-                and attempt["server_done"]
+                attempt
+                for attempt in sender._attempts.values()
+                if attempt.dst == node
+                and attempt.cancelled
+                and attempt.slot is not None
+                and attempt.server_done
             ]
-            for msg_id, attempt in stale:
-                sender._reclaim_attempt(msg_id, attempt)
+            for attempt in stale:
+                sender._reclaim_attempt(attempt)
 
     def run(
         self,
@@ -904,12 +825,7 @@ class Cluster:
         warmup_fraction: float = 0.1,
     ) -> ClusterResult:
         """Drive every node at ``per_node_mrps`` and collect results."""
-        if per_node_mrps <= 0:
-            raise ValueError(f"per_node_mrps must be positive, got {per_node_mrps!r}")
-        if requests_per_node <= 0:
-            raise ValueError(
-                f"requests_per_node must be positive, got {requests_per_node!r}"
-            )
+        check_load(per_node_mrps, requests_per_node, warmup_fraction)
         self._expected_total = self.num_nodes * requests_per_node
         #: Expected injection window; the fault plan materializes its
         #: rate-based events over this horizon.

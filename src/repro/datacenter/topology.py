@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from ..cluster.cluster import check_speed_factors
+
 __all__ = [
     "NodeProfile",
     "NODE_PROFILES",
@@ -126,13 +128,7 @@ class DatacenterTopology:
         self.num_nodes = num_racks * rack_size
         self.profile = node_profile(profile)
         if speed_factors is not None:
-            if len(speed_factors) != self.num_nodes:
-                raise ValueError(
-                    f"speed_factors has {len(speed_factors)} entries for "
-                    f"{self.num_nodes} nodes"
-                )
-            if any(speed <= 0 for speed in speed_factors):
-                raise ValueError("speed_factors must be positive")
+            check_speed_factors(speed_factors, self.num_nodes)
             self.speed_factors: List[float] = [
                 float(speed) for speed in speed_factors
             ]

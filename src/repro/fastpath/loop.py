@@ -30,7 +30,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..cluster.cluster import ClusterResult
+from ..cluster.cluster import ClusterResult, check_load, check_speed_factors
 from ..metrics import LatencySummary
 from ..rack.router import RouterStats
 
@@ -41,18 +41,16 @@ def check_scenario(
     num_nodes: int, per_node_mrps: float, requests_per_node: int, warmup_fraction: float,
     cores: Sequence[int], speeds: Sequence[float],
 ) -> None:
-    """Reject a scenario the fast engines cannot run, before any probe."""
-    if not (per_node_mrps > 0 and requests_per_node > 0):
-        raise ValueError("per_node_mrps and requests_per_node must be positive")
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction!r}")
-    for name, values in (("core_counts", cores), ("speed_factors", speeds)):
-        if len(values) != num_nodes:
-            raise ValueError(f"{name} has {len(values)} entries for {num_nodes} nodes")
+    """Reject a scenario the fast engines cannot run, before any probe.
+
+    The load and speed checks are the DES cluster's own, word for word.
+    """
+    check_load(per_node_mrps, requests_per_node, warmup_fraction)
+    if len(cores) != num_nodes:
+        raise ValueError(f"core_counts has {len(cores)} entries for {num_nodes} nodes")
+    check_speed_factors(speeds, num_nodes)
     if any(count < 1 for count in cores):
         raise ValueError(f"core counts must be >= 1, got {list(cores)!r}")
-    if not all(0.0 < speed < math.inf for speed in speeds):
-        raise ValueError(f"speed_factors must be positive and finite, got {list(speeds)!r}")
 
 
 def sample_requests(

@@ -15,25 +15,37 @@ Usage::
 
     result = system.run_point(20.0, 5_000, keep_messages=True, telemetry=True)
     export_chrome_trace(result.messages, "rpcs.trace.json", telemetry=result.telemetry)
+
+This module is the repo's one Perfetto writer: :func:`complete_event`,
+:func:`instant_event` and :func:`write_trace` also serve the span-tree
+export (:mod:`repro.tracing.export`) and the unified trace
+(:func:`repro.telemetry.export_unified_trace`).
 """
 
 from __future__ import annotations
 
 import json
+import pathlib
 from typing import IO, List, Sequence, Union
 
 __all__ = [
     "chrome_trace_events",
+    "complete_event",
     "counter_track_events",
+    "instant_event",
     "telemetry_counter_events",
     "export_chrome_trace",
+    "write_trace",
 ]
 
 #: Trace timestamps are in microseconds; the simulator uses ns.
 _NS_TO_US = 1e-3
 
 
-def _event(name: str, ts_ns: float, dur_ns: float, pid: int, tid: str, **args):
+def complete_event(
+    name: str, ts_ns: float, dur_ns: float, pid: int, tid: str, **args
+) -> dict:
+    """One complete ("X") event: a bar from ``ts_ns`` lasting ``dur_ns``."""
     event = {
         "name": name,
         "ph": "X",  # complete event
@@ -45,6 +57,34 @@ def _event(name: str, ts_ns: float, dur_ns: float, pid: int, tid: str, **args):
     if args:
         event["args"] = args
     return event
+
+
+def instant_event(name: str, ts_ns: float, pid: int, tid: str) -> dict:
+    """One thread-scoped instant ("i") event at ``ts_ns``."""
+    return {
+        "name": name,
+        "ph": "i",
+        "ts": ts_ns * _NS_TO_US,
+        "pid": pid,
+        "tid": tid,
+        "s": "t",
+    }
+
+
+def write_trace(
+    events: List[dict], destination: Union[str, pathlib.Path, IO[str]]
+) -> int:
+    """Write ``events`` as Trace Event Format JSON; returns the count.
+
+    ``destination`` is a path or an open text file object.
+    """
+    payload = {"traceEvents": events, "displayTimeUnit": "ns"}
+    if hasattr(destination, "write"):
+        json.dump(payload, destination)
+    else:
+        with open(destination, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+    return len(events)
 
 
 def chrome_trace_events(messages: Sequence) -> List[dict]:
@@ -60,7 +100,7 @@ def chrome_trace_events(messages: Sequence) -> List[dict]:
             raise ValueError(f"message {msg.msg_id} has not completed")
         label = f"rpc {msg.msg_id} ({msg.label})"
         events.append(
-            _event(
+            complete_event(
                 label,
                 msg.t_arrival,
                 msg.t_reassembled - msg.t_arrival,
@@ -71,7 +111,7 @@ def chrome_trace_events(messages: Sequence) -> List[dict]:
             )
         )
         events.append(
-            _event(
+            complete_event(
                 label,
                 msg.t_reassembled,
                 msg.t_dispatch - msg.t_reassembled,
@@ -80,7 +120,7 @@ def chrome_trace_events(messages: Sequence) -> List[dict]:
             )
         )
         events.append(
-            _event(
+            complete_event(
                 label,
                 msg.t_dispatch,
                 msg.t_replenish - msg.t_dispatch,
@@ -150,10 +190,4 @@ def export_chrome_trace(
     events = chrome_trace_events(messages)
     if telemetry is not None:
         events.extend(telemetry_counter_events(telemetry))
-    payload = {"traceEvents": events, "displayTimeUnit": "ns"}
-    if hasattr(destination, "write"):
-        json.dump(payload, destination)
-    else:
-        with open(destination, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-    return len(events)
+    return write_trace(events, destination)

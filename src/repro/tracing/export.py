@@ -14,47 +14,19 @@ via :func:`repro.telemetry.export_unified_trace`.
 
 from __future__ import annotations
 
-import json
 import pathlib
 from typing import IO, Iterable, List, Union
 
+from ..metrics.chrometrace import complete_event, instant_event, write_trace
 from .spans import RpcTrace, TraceBuffer
 
 __all__ = ["span_trace_events", "export_span_trace"]
-
-#: Trace timestamps are microseconds; the simulator uses ns.
-_NS_TO_US = 1e-3
 
 #: Perfetto "process" groups: clients (logical RPCs + attempts) vs
 #: servers (service windows) vs the fault timeline.
 _PID_CLIENTS = 10
 _PID_SERVERS = 11
 _PID_FAULTS = 12
-
-
-def _complete(name, ts_ns, dur_ns, pid, tid, **args) -> dict:
-    event = {
-        "name": name,
-        "ph": "X",
-        "ts": ts_ns * _NS_TO_US,
-        "dur": max(dur_ns, 0.0) * _NS_TO_US,
-        "pid": pid,
-        "tid": tid,
-    }
-    if args:
-        event["args"] = args
-    return event
-
-
-def _instant(name, ts_ns, pid, tid) -> dict:
-    return {
-        "name": name,
-        "ph": "i",
-        "ts": ts_ns * _NS_TO_US,
-        "pid": pid,
-        "tid": tid,
-        "s": "t",  # thread-scoped instant
-    }
 
 
 def span_trace_events(
@@ -88,7 +60,7 @@ def span_trace_events(
                 phase: round(value, 3) for phase, value in phases.items()
             }
         events.append(
-            _complete(
+            complete_event(
                 label,
                 trace.t_init,
                 last - trace.t_init,
@@ -108,7 +80,7 @@ def span_trace_events(
                 span_end = max(candidates)
             attempt_tid = f"attempts node{trace.client:02d}"
             events.append(
-                _complete(
+                complete_event(
                     f"{label} {span.kind}->node{span.dst}",
                     span.t_launch,
                     span_end - span.t_launch,
@@ -125,7 +97,7 @@ def span_trace_events(
             )
             if span.t_start is not None and span.t_replenish is not None:
                 events.append(
-                    _complete(
+                    complete_event(
                         f"{label} {span.kind}",
                         span.t_start,
                         span.t_replenish - span.t_start,
@@ -140,10 +112,10 @@ def span_trace_events(
                     )
                 )
             for name, t_ns in span.events:
-                events.append(_instant(name, t_ns, _PID_CLIENTS, attempt_tid))
+                events.append(instant_event(name, t_ns, _PID_CLIENTS, attempt_tid))
     for t_ns, kind, node in faults:
         tid = "fabric" if node < 0 else f"node{node:02d}"
-        events.append(_instant(kind, t_ns, _PID_FAULTS, f"faults {tid}"))
+        events.append(instant_event(kind, t_ns, _PID_FAULTS, f"faults {tid}"))
     return events
 
 
@@ -152,11 +124,4 @@ def export_span_trace(
     destination: Union[str, pathlib.Path, IO[str]],
 ) -> int:
     """Write spans as a Chrome-trace JSON file; returns the event count."""
-    events = span_trace_events(source)
-    payload = {"traceEvents": events, "displayTimeUnit": "ns"}
-    if hasattr(destination, "write"):
-        json.dump(payload, destination)
-    else:
-        with open(destination, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-    return len(events)
+    return write_trace(span_trace_events(source), destination)

@@ -4,6 +4,8 @@ import pytest
 
 from repro.balancing import Partitioned, SingleQueue
 from repro.cluster import Cluster, PodFabric, UniformFabric
+from repro.fastpath import simulate_rack_fast
+from repro.sim import Environment
 from repro.workloads import SyntheticWorkload
 
 
@@ -159,3 +161,33 @@ class TestClusterInterference:
         result = cluster.run(per_node_mrps=18.0, requests_per_node=3_000)
         # Two degraded cores out of 16: single-queue dispatch hides it.
         assert result.imbalance() < 1.25
+
+
+@pytest.mark.parametrize("tier", ["des", "fast"])
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        (dict(per_node_mrps=float("nan")), "per_node_mrps"),
+        (dict(per_node_mrps=float("inf")), "per_node_mrps"),
+        (dict(speed_factors=[1.0, float("nan")]), "speed_factors"),
+        (dict(speed_factors=[1.0, float("inf")]), "speed_factors"),
+        (dict(warmup_fraction=1.0), "warmup_fraction"),
+        (dict(warmup_fraction=float("nan")), "warmup_fraction"),
+    ],
+)
+def test_invalid_load_rejected_before_any_event(monkeypatch, tier, bad, match):
+    # Any DES run — the cluster itself or a fast-tier calibration
+    # probe — means the check came too late.
+    def no_events(self, *args, **kwargs):
+        pytest.fail("an event ran before the scenario was rejected")
+
+    monkeypatch.setattr(Environment, "run", no_events)
+    scenario = {
+        "per_node_mrps": 5.0, "requests_per_node": 50, "warmup_fraction": 0.1, **bad
+    }
+    speeds = scenario.pop("speed_factors", None)
+    with pytest.raises(ValueError, match=match):
+        if tier == "des":
+            Cluster(num_nodes=2, speed_factors=speeds).run(**scenario)
+        else:
+            simulate_rack_fast(2, speed_factors=speeds, **scenario)

@@ -13,7 +13,9 @@ independent chains), exponential and HERD service under the paper's
 five schemes, each at a sub-critical and a saturated load; interference
 stalls; rendezvous requests; pooled send slots with stalls; closed-loop
 clients; interleaved one-sided traffic; a telemetry-instrumented point;
-and 16-node clusters on the legacy and the robust (faulted) client path.
+and 16-node clusters: fault-free (JSQ(2) with piggybacked reports, a
+Zipf-skewed random spray whose senders stall for credits, a traced
+broadcast run), retry-only on heterogeneous nodes, and faulted.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from repro.rack import RackRouter
 from repro.sim import RngRegistry
 from repro.telemetry import TelemetryHub, instrument_chip
 from repro.telemetry.probes import BACKEND_DEPTH, PRIVATE_CQ_DEPTH
+from repro.tracing import TraceConfig
 from repro.workloads import (
     ClosedLoopClients,
     DistributionWorkload,
@@ -243,6 +246,79 @@ def _cluster_faulted(seed=0):
     }
 
 
+def _cluster_stalls(seed=0):
+    cluster = Cluster(
+        num_nodes=16,
+        scheme_factory=SingleQueue,
+        seed=seed,
+        router=RackRouter("random", "fresh", skew=1.2),
+    )
+    result = cluster.run(20.0, 300)
+    stalled = sum(node.stalled for node in cluster.nodes)
+    # Stalled sends take their message ids when a credit frees, which
+    # picks their NI backend: the case must exercise that numbering.
+    assert stalled > 0
+    return {
+        "p50": result.aggregate.p50,
+        "p99": result.aggregate.p99,
+        "throughput": result.total_throughput_mrps,
+        "stalled": stalled,
+        "per_node_completed": tuple(result.per_node_completed),
+        "nodes": _cluster_digest(cluster),
+    }
+
+
+def _cluster_broadcast_traced(seed=0):
+    cluster = Cluster(
+        num_nodes=16,
+        scheme_factory=SingleQueue,
+        seed=seed,
+        router=RackRouter("jsq2", "broadcast:2000"),
+        trace=TraceConfig(sample_period=3),
+    )
+    result = cluster.run(24.0, 200)
+    spans = result.spans
+    return {
+        # Broadcast ticks poll the drain rule, so env.now pins it.
+        "now": cluster.env.now,
+        "throughput": result.total_throughput_mrps,
+        "p99": result.aggregate.p99,
+        "traces": (len(spans), spans.offered, spans.sampled),
+        "spans": _sha(
+            [
+                (trace.client, trace.index, trace.label, trace.t_end, trace.phases())
+                for trace in spans.traces
+            ]
+        ),
+        "nodes": _cluster_digest(cluster),
+    }
+
+
+def _cluster_retry_only(seed=0):
+    cluster = Cluster(
+        num_nodes=16,
+        scheme_factory=SingleQueue,
+        seed=seed,
+        router=RackRouter("jsq2", "piggyback", skew=1.0),
+        speed_factors=[(1.0, 0.5, 1.5, 1.0)[node % 4] for node in range(16)],
+        retry=RetryConfig(
+            timeout_ns=4e3, max_retries=1, backoff_ns=1e3, hedge_ns=2e3
+        ),
+    )
+    result = cluster.run(20.0, 300)
+    return {
+        "now": cluster.env.now,
+        "e2e_p50": result.e2e.p50,
+        "e2e_p99": result.e2e.p99,
+        "p99": result.aggregate.p99,
+        "throughput": result.total_throughput_mrps,
+        "completed": result.completed,
+        "stalled": sum(node.stalled for node in cluster.nodes),
+        "faults": tuple(sorted(asdict(result.fault_stats).items())),
+        "nodes": _cluster_digest(cluster),
+    }
+
+
 def _grid_cases():
     for service in SERVICES:
         kind = "herd" if service == "herd" else "synthetic"
@@ -288,6 +364,9 @@ CASES.update(
         ),
         "cluster-jsq2": _cluster_legacy,
         "cluster-faulted": _cluster_faulted,
+        "cluster-stalls": _cluster_stalls,
+        "cluster-broadcast-traced": _cluster_broadcast_traced,
+        "cluster-retry-only": _cluster_retry_only,
     }
 )
 
@@ -302,6 +381,12 @@ GOLDEN = {'closed-loop': {'backend_busy_ns': (16950.0, 16560.0, 17040.0, 16650.0
                           'p99': 3236.35335609087,
                           'processed': (102, 100, 102, 101, 101, 97, 99, 95, 103, 102, 101, 102, 97,
                                         104, 101, 93)},
+          'cluster-broadcast-traced': {'nodes': 'c3cb93b0957ca8b3531b',
+                                       'now': 12100.0,
+                                       'p99': 2019.8239706525646,
+                                       'spans': 'bf7f414842c9fb73adf4',
+                                       'throughput': 264.4628099173554,
+                                       'traces': (1072, 3200, 1072)},
           'cluster-faulted': {'completed': 9779,
                               'e2e_p50': 822.7458444085719,
                               'e2e_p99': 4017.2993340513685,
@@ -324,6 +409,32 @@ GOLDEN = {'closed-loop': {'backend_busy_ns': (16950.0, 16560.0, 17040.0, 16650.0
                            'per_node_completed': (162, 150, 150, 156, 133, 153, 146, 153, 156, 140,
                                                   145, 151, 152, 152, 151, 150),
                            'throughput': 313.92348508989846},
+          'cluster-retry-only': {'completed': 6640,
+                                 'e2e_p50': 1325.7630295269573,
+                                 'e2e_p99': 5850.015803753773,
+                                 'faults': (('completed', 4800), ('crash_drops', 0),
+                                            ('crashes', 0), ('delay_spikes', 0),
+                                            ('detection_latency_ns', []),
+                                            ('duplicate_completions', 1840),
+                                            ('false_suspicions', 0), ('hedges', 1700),
+                                            ('late_completions', 956), ('lost', 0),
+                                            ('msg_drops', 0), ('msg_dups', 0), ('offered', 4800),
+                                            ('readmissions', 0), ('reclaimed_slots', 0),
+                                            ('recoveries', 0), ('reply_suppressed', 0),
+                                            ('retries', 289), ('slowdowns', 0), ('suspicions', 0),
+                                            ('timeouts', 956)),
+                                 'nodes': '67d03fbdd9492bcfc683',
+                                 'now': 29317.921410240622,
+                                 'p99': 10372.542412530009,
+                                 'stalled': 10,
+                                 'throughput': 226.48263180351785},
+          'cluster-stalls': {'nodes': '499ff62ab6e66ffacca4',
+                             'p50': 2881.834003864374,
+                             'p99': 17459.356189858805,
+                             'per_node_completed': (1766, 738, 494, 341, 226, 227, 177, 146, 115,
+                                                    124, 95, 99, 66, 71, 56, 59),
+                             'stalled': 1151,
+                             'throughput': 74.92009318217731},
           'dynamic-slots': {'backend_busy_ns': (21090.0, 21150.0, 21030.0, 20730.0),
                             'completed': 2000,
                             'max_private_cq_depth': 0,
