@@ -37,7 +37,9 @@ from typing import Dict, Optional
 
 from ..cluster.cluster import ClusterResult
 from ..fastpath.calibration import light_load_overhead_ns
-from ..fastpath.loop import FaultTimeline, build_result, check_scenario, run_loop, sample_requests
+from ..fastpath.loop import (
+    FaultTimeline, RoutingStream, build_result, check_scenario, run_loop, sample_requests,
+)
 from ..rack.router import RouterStats
 from .schedulers import DEFAULT_JBSQ_K, make_scheduler
 from .topology import DatacenterTopology, node_profile
@@ -99,9 +101,11 @@ def simulate_datacenter_fast(
     scheduler.set_capacities([cores * float(speed) for speed in speeds])
     bound = scheduler.bound_k
 
-    requests = sample_requests(num_nodes, requests_per_node, per_node_mrps, arrival_process, seed)
-    times, _clients, _processing, rng = requests
+    times, clients, processing, route_rng = sample_requests(
+        num_nodes, requests_per_node, per_node_mrps, arrival_process, seed
+    )
     timeline = FaultTimeline.of(faults, num_nodes, times, seed)
+    stream = RoutingStream(route_rng)
 
     rack_of = [topology.rack_of(node) for node in range(num_nodes)]
     outstanding = [0] * num_nodes
@@ -113,7 +117,7 @@ def simulate_datacenter_fast(
     choose = scheduler.choose
 
     def route(index: int, client: int, now: float) -> int:
-        return choose(client, outstanding, rack_load, rng)
+        return choose(client, outstanding, rack_load, stream)
 
     def admit(index: int, client: int, dst: int, entered_at: float) -> bool:
         nonlocal holds, max_outstanding
@@ -147,7 +151,7 @@ def simulate_datacenter_fast(
         return None
 
     dsts, sojourns, departures, dropped = run_loop(
-        requests, route, admit, release, node_cores, speeds,
+        (times, clients, processing, stream), route, admit, release, node_cores, speeds,
         [overhead] * num_nodes, [0.0] * num_nodes, timeline=timeline,
     )
     assert all(not queue for queue in hold), "ToR hold queues must drain"

@@ -24,11 +24,16 @@ One scheduler object serves both engines: the DES
 :class:`~repro.datacenter.router.DatacenterRouter` and the fast tier's
 sequential loop call the same :meth:`DatacenterScheduler.choose` on
 their live per-node / per-rack outstanding state, so routing semantics
-cannot drift between tiers.
+cannot drift between tiers. ``rng`` is duck-typed on ``random()`` and
+``integers(low, high)``: the DES passes its ``np.random.Generator``,
+the fast tier a :class:`~repro.fastpath.loop.RoutingStream` that draws
+the same values.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import re
 from bisect import bisect_right
 from typing import List, Optional, Sequence
@@ -93,8 +98,8 @@ class DatacenterScheduler:
         self, topology: DatacenterTopology, policy: str = "jsq2",
         skew: float = 0.0,
     ) -> None:
-        if skew < 0:
-            raise ValueError(f"skew must be non-negative, got {skew!r}")
+        if not (math.isfinite(skew) and skew >= 0):
+            raise ValueError(f"skew must be finite and non-negative, got {skew!r}")
         self.topology = topology
         self.policy = policy
         self.mode, self.d = _parse_policy(policy)
@@ -127,9 +132,9 @@ class DatacenterScheduler:
             for rack in range(topo.num_racks)
         ]
 
-    def _sample_rack(self, rng: np.random.Generator) -> int:
-        position = bisect_right(self.rack_cumulative, float(rng.random()))
-        return min(position, self.topology.num_racks - 1)
+    def _sample_rack(self, rng) -> int:
+        # random() < 1.0 == rack_cumulative[-1], so the index is in range.
+        return bisect_right(self.rack_cumulative, rng.random())
 
     def _sample_distinct_racks(self, count: int, rng) -> List[int]:
         count = min(count, self.topology.num_racks)
@@ -141,27 +146,26 @@ class DatacenterScheduler:
         return chosen
 
     @staticmethod
-    def _pick_min(candidates, score, rng) -> int:
-        """Argmin with a uniform random tie-break (matches the rack layer)."""
-        best = None
-        tied: List[int] = []
-        for candidate in candidates:
-            value = score(candidate)
-            if best is None or value < best:
-                best = value
-                tied = [candidate]
-            elif value == best:
-                tied.append(candidate)
-        if len(tied) == 1:
-            return tied[0]
-        return tied[int(rng.integers(0, len(tied)))]
+    def _pick_min(candidates: Sequence[int], scores: List[float], rng) -> int:
+        """The candidate with the lowest score, ties broken uniformly.
+
+        ``scores[i]`` scores ``candidates[i]``. A unique minimum costs no
+        draw; otherwise one ``rng.integers(0, len(tied))`` picks among
+        the tied candidates in candidate order — the rack layer's rule,
+        so both layers consume the routing stream alike.
+        """
+        best = min(scores)
+        if scores.count(best) == 1:
+            return candidates[scores.index(best)]
+        tied = [candidate for candidate, score in zip(candidates, scores) if score == best]
+        return tied[rng.integers(0, len(tied))]
 
     def choose(
         self,
         client: int,
-        believe: Sequence[float],
-        rack_believe: Sequence[float],
-        rng: np.random.Generator,
+        believe: List[float],
+        rack_believe: List[float],
+        rng,
     ) -> int:
         raise NotImplementedError
 
@@ -173,14 +177,12 @@ class FlatScheduler(DatacenterScheduler):
 
     def _sample_node(self, client: int, rng) -> int:
         """One candidate: popularity-weighted rack, uniform member != client."""
-        topo = self.topology
-        rack = self._sample_rack(rng)
-        members = topo.members(rack)
-        if topo.rack_of(client) == rack:
-            offset = int(rng.integers(0, topo.rack_size - 1))
-            node = members[0] + offset
+        size = self.topology.rack_size
+        first = self._sample_rack(rng) * size
+        if first <= client < first + size:
+            node = first + int(rng.integers(0, size - 1))
             return node if node < client else node + 1
-        return members[0] + int(rng.integers(0, topo.rack_size))
+        return first + int(rng.integers(0, size))
 
     def choose(self, client, believe, rack_believe, rng) -> int:
         if self.mode == "random":
@@ -193,12 +195,10 @@ class FlatScheduler(DatacenterScheduler):
                 candidates.append(node)
         if self.mode == "sed":
             capacities = self.capacities
-            return self._pick_min(
-                candidates,
-                lambda node: (believe[node] + 1.0) / capacities[node],
-                rng,
-            )
-        return self._pick_min(candidates, lambda node: believe[node], rng)
+            scores = [(believe[node] + 1.0) / capacities[node] for node in candidates]
+        else:
+            scores = [believe[node] for node in candidates]
+        return self._pick_min(candidates, scores, rng)
 
 
 class TwoLevelScheduler(DatacenterScheduler):
@@ -214,35 +214,43 @@ class TwoLevelScheduler(DatacenterScheduler):
     ) -> None:
         super().__init__(topology, policy, skew)
         self.hierarchy = hierarchy
-        if bound_k is not None and bound_k < 1:
-            raise ValueError(f"JBSQ bound must be >= 1, got {bound_k!r}")
-        self.bound_k = bound_k
+        if bound_k is not None and not (
+            isinstance(bound_k, numbers.Integral) and not isinstance(bound_k, bool)
+            and bound_k >= 1
+        ):
+            raise ValueError(f"JBSQ bound must be an integer >= 1, got {bound_k!r}")
+        self.bound_k = None if bound_k is None else int(bound_k)
+        #: Each node's rack peers (itself excluded), the ToR candidates
+        #: when a client routes into its own rack.
+        self._rack_peers = [
+            [node for node in topology.members(topology.rack_of(client)) if node != client]
+            for client in range(topology.num_nodes)
+        ]
 
     def choose_rack(self, client, rack_believe, rng) -> int:
         if self.mode == "random":
             return self._sample_rack(rng)
         if self.mode == "jsq":
             candidates = self._sample_distinct_racks(self.d, rng)
-            return self._pick_min(
-                candidates, lambda rack: rack_believe[rack], rng
-            )
+            return self._pick_min(candidates, [rack_believe[rack] for rack in candidates], rng)
         # SED over *all* racks: the spine sees every ToR's aggregate, so
         # unlike a flat client it can afford the full capacity-aware scan.
-        capacities = self.rack_capacities
-        return self._pick_min(
-            range(self.topology.num_racks),
-            lambda rack: (rack_believe[rack] + 1.0) / capacities[rack],
-            rng,
-        )
+        scores = [
+            (load + 1.0) / capacity
+            for load, capacity in zip(rack_believe, self.rack_capacities)
+        ]
+        return self._pick_min(range(self.topology.num_racks), scores, rng)
 
     def choose_member(self, rack, client, believe, rng) -> int:
         """ToR-local JSQ over the rack's members (client excluded)."""
-        members = self.topology.members(rack)
-        if self.topology.rack_of(client) == rack:
-            candidates = [node for node in members if node != client]
-        else:
-            candidates = members
-        return self._pick_min(candidates, lambda node: believe[node], rng)
+        size = self.topology.rack_size
+        first = rack * size
+        # Racks are contiguous id ranges, so the rack's scores are one slice.
+        scores = believe[first:first + size]
+        if first <= client < first + size:
+            del scores[client - first]
+            return self._pick_min(self._rack_peers[client], scores, rng)
+        return self._pick_min(range(first, first + size), scores, rng)
 
     def choose(self, client, believe, rack_believe, rng) -> int:
         rack = self.choose_rack(client, rack_believe, rng)

@@ -50,7 +50,9 @@ from ..rack.router import RouterStats
 from ..rack.signals import BroadcastSignal, PiggybackSignal, make_signal
 from .calibration import bisect_occupancy, light_load_overhead_ns
 from .fastchip import _spray_departures
-from .loop import FaultTimeline, build_result, check_scenario, run_loop, sample_requests
+from .loop import (
+    FaultTimeline, RoutingStream, build_result, check_scenario, run_loop, sample_requests,
+)
 
 __all__ = [
     "calibrated_scheme_profile",
@@ -270,8 +272,9 @@ def simulate_rack_fast(
     occupancy = np.array([profile[0] for profile in profiles])
     shift = np.array([profile[1] for profile in profiles])
 
-    requests = sample_requests(num_nodes, requests_per_node, per_node_mrps, arrival_process, seed)
-    times, clients, processing, route_rng = requests
+    times, clients, processing, route_rng = sample_requests(
+        num_nodes, requests_per_node, per_node_mrps, arrival_process, seed
+    )
     timeline = FaultTimeline.of(faults, num_nodes, times, seed)
 
     static_dsts: Optional[np.ndarray] = None
@@ -296,13 +299,14 @@ def simulate_rack_fast(
         sojourns = departures - times + shift[dsts]
         dropped = None
     else:
+        stream = RoutingStream(route_rng)
         route, admit, release, errors, stalled = _rack_front_end(
-            policy_obj, signal_obj, destinations, cores, speeds, route_rng,
+            policy_obj, signal_obj, destinations, cores, speeds, stream,
             send_slots_per_node, static_dsts, times.size,
         )
         dsts, sojourns, departures, dropped = run_loop(
-            requests, route, admit, release, cores, speeds, occupancy, shift,
-            one_queue=scheme == "1x16", timeline=timeline,
+            (times, clients, processing, stream), route, admit, release, cores, speeds,
+            occupancy, shift, one_queue=scheme == "1x16", timeline=timeline,
         )
 
     stats = RouterStats(policy=policy_obj.label, signal=signal_obj.label, skew=skew)
@@ -342,7 +346,7 @@ def _slots_may_bind(
 
 def _rack_front_end(
     policy_obj, signal_obj, destinations: ZipfDestinations, cores: List[int],
-    speeds: np.ndarray, rng: np.random.Generator, slots: int,
+    speeds: np.ndarray, rng: RoutingStream, slots: int,
     static_dsts: Optional[np.ndarray], total: int,
 ):
     """The rack's ``(route, admit, release)`` callbacks for ``run_loop``.
@@ -449,7 +453,7 @@ def _rack_front_end(
                     chosen.append(candidate)
             best = min(believe[node] for node in chosen)
             tied = [node for node in chosen if believe[node] == best]
-            dst = tied[0] if len(tied) == 1 else tied[int(integers(0, len(tied)))]
+            dst = tied[0] if len(tied) == 1 else tied[integers(0, len(tied))]
         else:
             estimates = {node: float(believe[node]) for node in peers_of[client]}
             dst = choose(client, destinations, estimates, capacities, rng)

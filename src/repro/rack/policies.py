@@ -26,6 +26,7 @@ Policies are deliberately simple and classic:
 from __future__ import annotations
 
 import abc
+import math
 from typing import AbstractSet, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -54,8 +55,8 @@ class ZipfDestinations:
     def __init__(self, num_nodes: int, skew: float = 0.0) -> None:
         if num_nodes < 2:
             raise ValueError(f"need at least 2 nodes, got {num_nodes!r}")
-        if skew < 0:
-            raise ValueError(f"skew must be non-negative, got {skew!r}")
+        if not (math.isfinite(skew) and skew >= 0):
+            raise ValueError(f"skew must be finite and non-negative, got {skew!r}")
         self.num_nodes = num_nodes
         self.skew = skew
         weights = np.array(

@@ -36,6 +36,7 @@ from repro.datacenter import (
 )
 from repro.balancing import SingleQueue
 from repro.faults import FaultPlan
+from repro.rack import ZipfDestinations
 
 
 class TestHierarchicalFabric:
@@ -188,6 +189,47 @@ class TestSchedulers:
         assert make_scheduler("jbsq", topo, policy="jsq2").label == "jbsq+jsq2"
         assert make_scheduler("jbsq", topo).bound_k == DEFAULT_JBSQ_K
         assert make_scheduler("racksched", topo).bound_k is None
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        pytest.param(lambda: ZipfDestinations(4, _NAN), "skew", id="zipf-nan"),
+        pytest.param(lambda: ZipfDestinations(4, _INF), "skew", id="zipf-inf"),
+        pytest.param(
+            lambda: make_scheduler("flat", DatacenterTopology(2, 4), skew=_NAN), "skew",
+            id="flat-nan",
+        ),
+        pytest.param(
+            lambda: make_scheduler("racksched", DatacenterTopology(2, 4), skew=_INF), "skew",
+            id="racksched-inf",
+        ),
+        pytest.param(
+            lambda: DatacenterRouter(DatacenterTopology(2, 4), skew=_NAN), "skew",
+            id="des-router-nan",
+        ),
+        pytest.param(
+            lambda: make_scheduler("jbsq", DatacenterTopology(2, 4), jbsq_k=2.5), "JBSQ bound",
+            id="jbsq-float",
+        ),
+        pytest.param(
+            lambda: make_scheduler("jbsq", DatacenterTopology(2, 4), jbsq_k=True), "JBSQ bound",
+            id="jbsq-bool",
+        ),
+        pytest.param(
+            lambda: make_scheduler("jbsq", DatacenterTopology(2, 4), jbsq_k=0), "JBSQ bound",
+            id="jbsq-zero",
+        ),
+    ],
+)
+def test_non_finite_skew_and_bad_jbsq_bound_rejected(build, match):
+    """At construction, before a router could hang in rejection sampling
+    or silently route every RPC to one rack."""
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 class TestFastEngine:
