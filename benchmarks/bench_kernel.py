@@ -1,6 +1,6 @@
 """Micro-benchmarks of the simulation substrates themselves.
 
-These track the cost of the building blocks (events/second in the DES
+These track the cost of the building blocks (calls/second in the DES
 kernel, requests/second in the queueing fast path, RPCs/second in the
 architectural simulator) so performance regressions in the simulator
 are visible independently of the figure-level benchmarks.
@@ -10,51 +10,53 @@ import numpy as np
 
 from repro import make_system
 from repro.queueing import poisson_arrivals, simulate_fifo_queue
-from repro.sim import Environment, Store
+from repro.sim import Environment
+
+#: Calls kept pending on the heap by the fan-out benchmark, and the
+#: total it processes.
+FANOUT_PENDING = 1_000
+FANOUT_CALLS = 20_000
 
 
-def test_kernel_timeout_throughput(benchmark):
-    """Schedule and process a chain of timeouts."""
+def test_kernel_call_chain_throughput(benchmark):
+    """A chain of 10k ``schedule_call``s, each scheduling the next:
+    the heap holds one call, so this is the per-call floor."""
 
     def run():
         env = Environment()
 
-        def chain():
-            for _ in range(10_000):
-                yield env.timeout(1.0)
+        def step(remaining):
+            if remaining:
+                env.schedule_call(1.0, step, remaining - 1)
 
-        env.process(chain())
+        env.schedule_call(1.0, step, 9_999)
         env.run()
         return env.now
 
-    result = benchmark(run)
-    assert result == 10_000.0
+    assert benchmark(run) == 10_000.0
 
 
-def test_kernel_store_handoff_throughput(benchmark):
-    """Producer/consumer hand-offs through a Store."""
+def test_kernel_fanout_throughput(benchmark):
+    """~1k calls pending on the heap, as in a loaded chip: each call
+    schedules one successor until 20k calls have run."""
+    delays = [(index * 7_919 % 1_000) / 100.0 for index in range(FANOUT_CALLS)]
 
     def run():
         env = Environment()
-        store = Store(env)
-        received = [0]
+        fired = [0]
 
-        def producer():
-            for index in range(5_000):
-                yield store.put(index)
-                yield env.timeout(1.0)
+        def fire(index):
+            fired[0] += 1
+            successor = index + FANOUT_PENDING
+            if successor < FANOUT_CALLS:
+                env.schedule_call(delays[successor], fire, successor)
 
-        def consumer():
-            while received[0] < 5_000:
-                yield store.get()
-                received[0] += 1
-
-        env.process(producer())
-        env.process(consumer())
+        for index in range(FANOUT_PENDING):
+            env.schedule_call(delays[index], fire, index)
         env.run()
-        return received[0]
+        return fired[0]
 
-    assert benchmark(run) == 5_000
+    assert benchmark(run) == FANOUT_CALLS
 
 
 def test_fastsim_throughput(benchmark):

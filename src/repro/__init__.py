@@ -5,7 +5,8 @@ manycore servers with integrated network interfaces. This package
 implements the paper's system and every substrate it depends on as a
 discrete-event simulation:
 
-* :mod:`repro.sim` — the DES kernel;
+* :mod:`repro.sim` — the callback-only DES kernel (a heap of
+  ``(time, seq, fn, args)`` calls) and named RNG streams;
 * :mod:`repro.dists` — service-time distributions (incl. the paper's
   synthetic fixed/uniform/exponential/GEV set);
 * :mod:`repro.queueing` — the theoretical Q×U queueing models (§2.2);

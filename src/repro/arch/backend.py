@@ -21,7 +21,6 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING
 
-from ..sim import delayed_call
 from .packets import OneSidedWrite, SendMessage
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -112,6 +111,6 @@ class NIBackend:
         dispatcher = chip.dispatchers[msg.group_id]
         delay = dispatcher.completion_forward_delay_ns(self.backend_id)
         if delay > 0:
-            delayed_call(chip.env, delay, dispatcher.on_message_ready, msg)
+            chip.env.schedule_call(delay, dispatcher.on_message_ready, msg)
         else:
             dispatcher.on_message_ready(msg)

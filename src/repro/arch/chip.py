@@ -21,7 +21,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from ..metrics import LatencyRecorder
-from ..sim import Environment, RngRegistry, delayed_call
+from ..sim import Environment, RngRegistry
 from .backend import NIBackend
 from .buffers import MessagingDomain, ReceiveBuffer
 from .config import ChipConfig
@@ -251,11 +251,8 @@ class Chip:
         #    latency later and frees the sender's send slot. The record
         #    is recycled once that callback (the last reader) has run.
         if self.on_slot_replenished is not None:
-            delayed_call(
-                self.env,
-                config.wire_latency_ns,
-                self._replenish_arrived,
-                msg,
+            self.env.schedule_call(
+                config.wire_latency_ns, self._replenish_arrived, msg
             )
         elif self.completed_messages is None:
             self._message_pool.append(msg)

@@ -54,7 +54,7 @@ class Core:
         self.chip = chip
         self.core_id = core_id
         self.program = program
-        self.qp = QueuePair(chip.env, core_id)
+        self.qp = QueuePair(core_id)
         self.qp.core = self
         #: True from a request's pickup until the core pulls its next CQE.
         self.busy = False

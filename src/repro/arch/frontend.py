@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..sim import delayed_call
 from .packets import SendMessage
 from .qp import QueuePair
 
@@ -52,8 +51,8 @@ class NIFrontend:
         dispatcher = self.chip.dispatchers[msg.group_id]
         delay = dispatcher.replenish_delay_ns(self.core_id)
         if delay > 0:
-            delayed_call(
-                self.chip.env, delay, dispatcher.on_replenish, self.core_id, msg
+            self.chip.env.schedule_call(
+                delay, dispatcher.on_replenish, self.core_id, msg
             )
         else:
             dispatcher.on_replenish(self.core_id, msg)

@@ -25,9 +25,7 @@ the sub-µs remote access soNUMA reports.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from ..sim import Event
+from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from .chip import Chip
@@ -101,16 +99,19 @@ class OneSidedEngine:
             + config.cqe_write_ns
         )
 
-    def issue(self, op: str, size_bytes: int, core_id: int = 0) -> Event:
-        """Issue an op; the returned event fires with its completion.
+    def issue(
+        self,
+        op: str,
+        size_bytes: int,
+        core_id: int = 0,
+        on_complete: Optional[Callable[[OneSidedCompletion], None]] = None,
+    ) -> None:
+        """Issue an op; ``on_complete(completion)`` runs when it completes.
 
         The local backend is *occupied* for the packet-handling parts
         (so heavy one-sided traffic competes with messaging ingress, as
         on the real NI); wire and remote time are pure latency.
         """
-        env = self.chip.env
-        done = env.event()
-        issued_at = env.now
         config = self.chip.config
         payload_packets = config.packets_for(size_bytes)
         if op == "read":
@@ -124,18 +125,34 @@ class OneSidedEngine:
 
         total_ns = self.round_trip_ns(op, size_bytes, core_id)
         backend = self.chip.backends[self.chip._nearest_backend(core_id)]
+        # The backend charge runs from a zero-delay hop, after the calls
+        # already due now.
+        self.chip.env.schedule_call(
+            0.0, self._start, op, size_bytes, backend, local_packets,
+            total_ns, on_complete,
+        )
 
-        def complete():
-            done.succeed(
-                OneSidedCompletion(op, size_bytes, issued_at, env.now)
+    def _start(
+        self,
+        op: str,
+        size_bytes: int,
+        backend,
+        local_packets: int,
+        total_ns: float,
+        on_complete,
+    ) -> None:
+        # Charge the local backend for the payload's packets, then let
+        # the rest of the round trip elapse as pure latency.
+        env = self.chip.env
+        backend.occupy_pipeline(local_packets)
+        env.schedule_call(
+            total_ns, self._complete, op, size_bytes, env.now, on_complete
+        )
+
+    def _complete(
+        self, op: str, size_bytes: int, issued_at: float, on_complete
+    ) -> None:
+        if on_complete is not None:
+            on_complete(
+                OneSidedCompletion(op, size_bytes, issued_at, self.chip.env.now)
             )
-
-        def op_process():
-            # Charge the local backend for the payload's packets, then
-            # let the rest of the round trip elapse as pure latency.
-            backend.occupy_pipeline(local_packets)
-            yield env.timeout(total_ns)
-            complete()
-
-        env.process(op_process(), name=f"onesided-{op}")
-        return done

@@ -4,17 +4,15 @@ Each core owns one QP: a Work Queue the core writes WQEs into and a
 Completion Queue the NI writes CQEs into. In the simulator the CQ is
 the core's private request inbox (the object the paper's step 8 writes
 into), a plain deque of CQEs waiting behind the one in service. The
-WQ, a :class:`repro.sim.Store`, exists for API completeness — the
+WQ, a plain deque of posted WQEs, exists for API completeness — the
 microbenchmark folds WQE-write costs into its per-request issue costs,
-but examples and tests exercise the WQ path explicitly.
+so nothing in the simulator drains it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from typing import Any
-
-from ..sim import Environment, Store
 
 __all__ = ["QueuePair", "WorkQueueEntry", "CompletionQueueEntry"]
 
@@ -58,9 +56,9 @@ class QueuePair:
 
     __slots__ = ("core_id", "wq", "cq", "core", "max_cq_depth", "depth_hist")
 
-    def __init__(self, env: Environment, core_id: int) -> None:
+    def __init__(self, core_id: int) -> None:
         self.core_id = core_id
-        self.wq: Store = Store(env)
+        self.wq: deque = deque()
         self.cq: deque = deque()
         #: The :class:`repro.arch.cpu.Core` polling this CQ, if any.
         self.core = None
@@ -86,4 +84,4 @@ class QueuePair:
 
     def post_wqe(self, item: Any) -> None:
         """Core-side: enqueue a work request for the NI."""
-        self.wq.put(item)
+        self.wq.append(item)

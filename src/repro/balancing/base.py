@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
 import numpy as np
 
-from ..sim import delayed_call
 from .policies import SelectionPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -196,7 +195,7 @@ class Dispatcher:
         delay = (decision_done - now) + self.delivery_delay_ns(core_id)
         frontend = self.chip.frontends[core_id]
         if delay > 0:
-            delayed_call(env, delay, frontend.deliver, msg)
+            env.schedule_call(delay, frontend.deliver, msg)
         else:
             frontend.deliver(msg)
 

@@ -761,7 +761,7 @@ class Cluster:
 
         In a robust run, "completed" means every logical RPC *resolved*
         — completed once or declared lost — so heartbeat / broadcast /
-        detector processes terminate even when some requests die to
+        detector chains terminate even when some requests die to
         injected faults. A fault-free run counts server-side completions
         (at replenish), not replies back at clients: those land one
         fabric delay later, and a broadcast loop polling this would tick
@@ -769,6 +769,29 @@ class Cluster:
         """
         done = self.resolved_total if self.robust else self.completed_total
         return self._expected_total > 0 and done >= self._expected_total
+
+    def repeat_until_drained(self, period: float, fn, *args) -> None:
+        """Call ``fn(*args)`` every ``period`` until the traffic drains.
+
+        The chain behaves as the loop ``while not drained: wait(period);
+        fn(*args)``: the drain check follows each tick, so one final
+        tick fires after the last request resolves — and sets the run's
+        end time. It starts with a zero-delay hop so the first check
+        runs after the calls already due now; each tick is then one
+        kernel event.
+        """
+        env = self.env
+        traffic_drained = self.traffic_drained
+
+        def check() -> None:
+            if not traffic_drained():
+                env.schedule_call(period, tick)
+
+        def tick() -> None:
+            fn(*args)
+            check()
+
+        env.schedule_call(0.0, check)
 
     # -- fault-injected fabric delivery and recovery reclaim ------------------
 

@@ -1,7 +1,8 @@
 """Generic-kernel implementation of the Q×U queueing system.
 
-Deliberately slow and obviously correct: queues are kernel Stores and
-serving units are processes. Tests cross-check
+Deliberately slow and obviously correct: each queue is a FIFO deque
+with a count of idle serving units, and every arrival and departure is
+one kernel call. Tests cross-check
 :mod:`repro.queueing.fastsim` against this implementation on identical
 arrival/service sequences — they must agree exactly (both are exact
 simulations of the same FIFO discipline).
@@ -9,11 +10,12 @@ simulations of the same FIFO discipline).
 
 from __future__ import annotations
 
-from typing import List
+from collections import deque
+from typing import Deque, List
 
 import numpy as np
 
-from ..sim import Environment, Store
+from ..sim import Environment
 
 __all__ = ["kernel_sojourn_times"]
 
@@ -39,31 +41,33 @@ def kernel_sojourn_times(
         raise ValueError("queue id out of range")
 
     env = Environment()
-    stores: List[Store] = [Store(env) for _ in range(num_queues)]
+    waiting: List[Deque[int]] = [deque() for _ in range(num_queues)]
+    idle = [servers_per_queue] * num_queues
     sojourns = np.full(arrivals.size, np.nan)
-    remaining = [int((queues_of == q).sum()) for q in range(num_queues)]
 
-    def arrival_process():
-        previous = 0.0
-        for index in range(arrivals.size):
-            yield env.timeout(arrivals[index] - previous)
-            previous = arrivals[index]
-            stores[queues_of[index]].put(
-                (index, arrivals[index], services[index])
+    def arrive(index: int) -> None:
+        queue_id = queues_of[index]
+        if idle[queue_id]:
+            idle[queue_id] -= 1
+            env.schedule_call(services[index], depart, queue_id, index)
+        else:
+            waiting[queue_id].append(index)
+        if index + 1 < arrivals.size:
+            env.schedule_call(
+                arrivals[index + 1] - arrivals[index], arrive, index + 1
             )
 
-    def server(queue_id: int):
-        store = stores[queue_id]
-        while remaining[queue_id] > 0:
-            index, arrived, service = yield store.get()
-            remaining[queue_id] -= 1
-            yield env.timeout(service)
-            sojourns[index] = env.now - arrived
+    def depart(queue_id: int, index: int) -> None:
+        sojourns[index] = env.now - arrivals[index]
+        queue = waiting[queue_id]
+        if queue:
+            following = queue.popleft()
+            env.schedule_call(services[following], depart, queue_id, following)
+        else:
+            idle[queue_id] += 1
 
-    env.process(arrival_process())
-    for queue_id in range(num_queues):
-        for _ in range(servers_per_queue):
-            env.process(server(queue_id))
+    if arrivals.size:
+        env.schedule_call(arrivals[0], arrive, 0)
     env.run()
     if np.isnan(sojourns).any():  # pragma: no cover - sanity net
         raise RuntimeError("some requests never completed")

@@ -147,45 +147,38 @@ class RackRouter:
         self.signal.bind(self)
 
     def start(self) -> None:
-        """Traffic is about to start (spawns broadcast processes)."""
+        """Traffic is about to start (starts the periodic chains)."""
         self.signal.start()
         cluster = self.cluster
-        injector = getattr(cluster, "injector", None)
-        if self.suspect_after_ns is not None and injector is not None:
+        if self.suspect_after_ns is not None and cluster.injector is not None:
             period = self.heartbeat_period_ns
             if period is None:
                 period = self.suspect_after_ns / 4.0
-            self._hb_period = period
+            fabric = cluster.fabric
             for server in range(self.num_nodes):
-                cluster.env.process(
-                    self._heartbeat(server), name=f"heartbeat-{server}"
+                # Delivered to the rack-wide detector after the server's
+                # worst-case one-way latency to any peer.
+                delay = max(
+                    fabric.latency_ns(server, peer)
+                    for peer in range(self.num_nodes)
+                    if peer != server
                 )
-            cluster.env.process(self._detector(), name="fault-detector")
+                cluster.repeat_until_drained(
+                    period, self._heartbeat, server, delay
+                )
+            cluster.repeat_until_drained(period, self._detect)
 
     # -- failure detection -------------------------------------------------
 
-    def _heartbeat(self, server: int):
+    def _heartbeat(self, server: int, delay: float) -> None:
         """Server-side liveness beacon: one message per period.
 
         Suppressed while the server is down or the signal plane is
         blacked out; the message crosses the fault-injected fabric, so
         heartbeats can be dropped or delayed like any other traffic.
         """
-        cluster = self.cluster
-        env = cluster.env
-        injector = cluster.injector
-        fabric = cluster.fabric
-        #: Delivered to the rack-wide detector after the server's
-        #: worst-case one-way latency to any peer.
-        delay = max(
-            fabric.latency_ns(server, peer)
-            for peer in range(self.num_nodes)
-            if peer != server
-        )
-        while not cluster.traffic_drained():
-            yield env.timeout(self._hb_period)
-            if not injector.node_up(server) or injector.signals_dark():
-                continue
+        injector = self.cluster.injector
+        if injector.node_up(server) and not injector.signals_dark():
             injector.transmit(delay, self._heartbeat_received, server)
 
     def _heartbeat_received(self, server: int) -> None:
@@ -195,33 +188,30 @@ class RackRouter:
             self.stats.readmissions += 1
             self.cluster.injector.stats.readmissions += 1
 
-    def _detector(self):
+    def _detect(self) -> None:
         """Rack-wide suspicion sweep, once per heartbeat period."""
         cluster = self.cluster
-        env = cluster.env
         injector = cluster.injector
         threshold = self.suspect_after_ns
-        while not cluster.traffic_drained():
-            yield env.timeout(self._hb_period)
-            now = env.now
-            for server in range(self.num_nodes):
-                if server in self.suspected:
-                    continue
-                if now - self.last_heard[server] <= threshold:
-                    continue
-                self.suspected.add(server)
-                self.stats.suspicions += 1
-                fault_stats = injector.stats
-                fault_stats.suspicions += 1
-                crashed_at = injector.crashed_at[server]
-                if crashed_at is None:
-                    self.stats.false_suspicions += 1
-                    fault_stats.false_suspicions += 1
-                else:
-                    latency = now - crashed_at
-                    fault_stats.detection_latency_ns.append(latency)
-                    if self.detection_hist is not None:
-                        self.detection_hist.record(latency)
+        now = cluster.env.now
+        for server in range(self.num_nodes):
+            if server in self.suspected:
+                continue
+            if now - self.last_heard[server] <= threshold:
+                continue
+            self.suspected.add(server)
+            self.stats.suspicions += 1
+            fault_stats = injector.stats
+            fault_stats.suspicions += 1
+            crashed_at = injector.crashed_at[server]
+            if crashed_at is None:
+                self.stats.false_suspicions += 1
+                fault_stats.false_suspicions += 1
+            else:
+                latency = now - crashed_at
+                fault_stats.detection_latency_ns.append(latency)
+                if self.detection_hist is not None:
+                    self.detection_hist.record(latency)
 
     # -- the decision -----------------------------------------------------
 

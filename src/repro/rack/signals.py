@@ -75,7 +75,7 @@ class LoadSignal(abc.ABC):
         """A reply from ``server`` reached ``client`` (piggyback hook)."""
 
     def start(self) -> None:
-        """Called once when traffic starts (broadcast processes spawn here)."""
+        """Called once when traffic starts (broadcast chains start here)."""
 
 
 class InstantSignal(LoadSignal):
@@ -120,33 +120,27 @@ class BroadcastSignal(LoadSignal):
     def start(self) -> None:
         cluster = self.router.cluster
         for server in range(self.router.num_nodes):
-            cluster.env.process(
-                self._broadcaster(server), name=f"load-bcast-{server}"
-            )
+            cluster.repeat_until_drained(self.period_ns, self._broadcast, server)
 
-    def _broadcaster(self, server: int):
-        from ..sim import delayed_call
-
+    def _broadcast(self, server: int) -> None:
         cluster = self.router.cluster
+        injector = cluster.injector
+        if injector is not None and (
+            not injector.node_up(server) or injector.signals_dark()
+        ):
+            # A down server broadcasts nothing; a signal blackout
+            # silences the whole signal plane. The view only ages.
+            return
         env = cluster.env
-        injector = getattr(cluster, "injector", None)
-        while not cluster.traffic_drained():
-            yield env.timeout(self.period_ns)
-            if injector is not None and (
-                not injector.node_up(server) or injector.signals_dark()
-            ):
-                # A down server broadcasts nothing; a signal blackout
-                # silences the whole signal plane. The view only ages.
+        load = float(self.router.outstanding[server])
+        for client in range(self.router.num_nodes):
+            if client == server:
                 continue
-            load = float(self.router.outstanding[server])
-            for client in range(self.router.num_nodes):
-                if client == server:
-                    continue
-                delay = cluster.fabric.latency_ns(server, client)
-                if injector is not None:
-                    injector.transmit(delay, self._deliver, client, server, load)
-                else:
-                    delayed_call(env, delay, self._deliver, client, server, load)
+            delay = cluster.fabric.latency_ns(server, client)
+            if injector is not None:
+                injector.transmit(delay, self._deliver, client, server, load)
+            else:
+                env.schedule_call(delay, self._deliver, client, server, load)
 
     def _deliver(self, client: int, server: int, load: float) -> None:
         self.estimates[client][server] = load

@@ -1,40 +1,15 @@
 """Discrete-event simulation kernel.
 
-A small, fully tested process-interaction DES kernel in the style of
-SimPy. All higher layers (queueing models, the soNUMA architectural
-simulator, workloads) are built on this package.
+A small callback-only DES kernel: an :class:`Environment` holds the
+clock and a heap of ``(time, seq, fn, args)`` calls, and
+:meth:`Environment.schedule_call` is the one way to make something
+happen later. All higher layers (the queueing oracle, the soNUMA
+architectural simulator, the cluster, workloads) are chains of such
+calls. :class:`RngRegistry` hands out the named random streams every
+stochastic component draws from.
 """
 
-from .engine import EmptySchedule, Environment
-from .events import (
-    AllOf,
-    AnyOf,
-    Condition,
-    Event,
-    Interrupt,
-    PENDING,
-    Process,
-    Timeout,
-)
-from .resources import PriorityStore, Request, Resource, Store
+from .engine import Environment
 from .rng import RngRegistry
-from .util import delayed_call
 
-__all__ = [
-    "Environment",
-    "EmptySchedule",
-    "Event",
-    "Timeout",
-    "Process",
-    "Condition",
-    "AnyOf",
-    "AllOf",
-    "Interrupt",
-    "PENDING",
-    "Store",
-    "PriorityStore",
-    "Resource",
-    "Request",
-    "RngRegistry",
-    "delayed_call",
-]
+__all__ = ["Environment", "RngRegistry"]

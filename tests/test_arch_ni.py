@@ -40,19 +40,16 @@ class TestQueuePair:
         assert cqe.payload == 123
 
     def test_cq_depth_high_water(self):
-        env = Environment()
-        qp = QueuePair(env, core_id=0)
+        qp = QueuePair(core_id=0)
         for index in range(3):
             qp.post_cqe(index)
-        env.run()
         assert qp.max_cq_depth == 3
         assert len(qp.cq) == 3
 
     def test_wq_post(self):
-        env = Environment()
-        qp = QueuePair(env, core_id=0)
+        qp = QueuePair(core_id=0)
         qp.post_wqe(WorkQueueEntry("send", payload="x"))
-        env.run()
+        assert list(qp.wq)[0].payload == "x"
         assert len(qp.wq) == 1
 
 

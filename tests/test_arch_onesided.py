@@ -20,12 +20,7 @@ def build():
 
 def issue_and_run(chip, engine, op, size, core_id=0):
     results = []
-
-    def client():
-        completion = yield engine.issue(op, size, core_id=core_id)
-        results.append(completion)
-
-    chip.env.process(client())
+    engine.issue(op, size, core_id=core_id, on_complete=results.append)
     chip.env.run()
     return results[0]
 
@@ -104,13 +99,8 @@ class TestAccounting:
     def test_concurrent_ops_complete(self):
         chip, engine = build()
         completions = []
-
-        def client(core_id):
-            completion = yield engine.issue("read", 512, core_id=core_id)
-            completions.append(completion)
-
         for core_id in range(8):
-            chip.env.process(client(core_id))
+            engine.issue("read", 512, core_id=core_id, on_complete=completions.append)
         chip.env.run()
         assert len(completions) == 8
         assert all(c.latency_ns > 0 for c in completions)

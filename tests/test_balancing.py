@@ -30,26 +30,15 @@ def build_chip(scheme, costs=None, config=None):
     return chip
 
 
-def burst(chip, count, service=600.0, spacing=0.0):
-    """Submit ``count`` messages, optionally spaced in time."""
-    def feeder():
-        for msg_id in range(count):
-            src = msg_id % chip.config.num_remote_nodes
-            slot = (msg_id // chip.config.num_remote_nodes) % (
-                chip.config.send_slots_per_node
-            )
-            msg = make_send(chip.config, msg_id, src, slot, 128, service)
-            chip.submit_message(msg)
-            if spacing:
-                yield chip.env.timeout(spacing)
-        if False:  # pragma: no cover - make this a generator
-            yield
-
-    if spacing:
-        chip.env.process(feeder())
-    else:
-        for _ in feeder():
-            pass
+def burst(chip, count, service=600.0):
+    """Submit ``count`` messages at the current time."""
+    for msg_id in range(count):
+        src = msg_id % chip.config.num_remote_nodes
+        slot = (msg_id // chip.config.num_remote_nodes) % (
+            chip.config.send_slots_per_node
+        )
+        msg = make_send(chip.config, msg_id, src, slot, 128, service)
+        chip.submit_message(msg)
     return chip
 
 
@@ -280,17 +269,15 @@ class TestReplenishTriggeredDispatch:
         # long one for its full duration.
         chip = build_chip(SingleQueue(outstanding_limit=2))
 
-        def feeder():
-            long_msg = make_send(chip.config, 0, 0, 0, 128, 50_000.0)
-            chip.submit_message(long_msg)
-            for msg_id in range(1, 120):
-                yield chip.env.timeout(400.0)
-                msg = make_send(
-                    chip.config, msg_id, msg_id % 199, 1, 128, 500.0
-                )
-                chip.submit_message(msg)
+        def feed(msg_id):
+            msg = make_send(chip.config, msg_id, msg_id % 199, 1, 128, 500.0)
+            chip.submit_message(msg)
+            if msg_id + 1 < 120:
+                chip.env.schedule_call(400.0, feed, msg_id + 1)
 
-        chip.env.process(feeder())
+        long_msg = make_send(chip.config, 0, 0, 0, 128, 50_000.0)
+        chip.submit_message(long_msg)
+        chip.env.schedule_call(400.0, feed, 1)
         chip.env.run()
         latencies = sorted(chip.recorder.latencies())
         assert latencies[-1] > 50_000.0  # the long RPC itself

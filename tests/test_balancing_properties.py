@@ -30,18 +30,17 @@ def run_traffic(scheme, arrivals):
 
         dispatcher._dispatch_to = tracking
 
-    def feeder():
-        for index, (gap, service) in enumerate(arrivals):
-            yield env.timeout(gap)
-            src = index % chip.config.num_remote_nodes
-            slot = (index // chip.config.num_remote_nodes) % (
-                chip.config.send_slots_per_node
-            )
-            chip.submit_message(
-                make_send(chip.config, index, src, slot, 128, service)
-            )
+    def feed(index):
+        service = arrivals[index][1]
+        src = index % chip.config.num_remote_nodes
+        slot = (index // chip.config.num_remote_nodes) % (
+            chip.config.send_slots_per_node
+        )
+        chip.submit_message(make_send(chip.config, index, src, slot, 128, service))
+        if index + 1 < len(arrivals):
+            env.schedule_call(arrivals[index + 1][0], feed, index + 1)
 
-    env.process(feeder())
+    env.schedule_call(arrivals[0][0], feed, 0)
     env.run()
     return chip, max_outstanding["value"]
 

@@ -5,71 +5,8 @@ import pytest
 from repro.arch import Chip, ChipConfig
 from repro.balancing import SingleQueue, SoftwareSingleQueue
 from repro.experiments.common import ExperimentResult
-from repro.sim import Environment, Interrupt, RngRegistry, Store
+from repro.sim import Environment, RngRegistry
 from repro.workloads import MicrobenchCosts, MicrobenchProgram
-
-
-class TestKernelEdges:
-    def test_interrupt_while_blocked_on_store(self):
-        env = Environment()
-        store = Store(env)
-        outcomes = []
-
-        def consumer():
-            try:
-                yield store.get()
-            except Interrupt as interrupt:
-                outcomes.append(("interrupted", interrupt.cause))
-                return
-            outcomes.append(("got",))
-
-        process = env.process(consumer())
-
-        def killer():
-            yield env.timeout(5)
-            process.interrupt("shutdown")
-
-        env.process(killer())
-        env.run()
-        assert outcomes == [("interrupted", "shutdown")]
-        # The interrupted consumer detached: a later put stays stored.
-        store.put("orphan")
-        env.run()
-        assert store.items == ["orphan"]
-
-    def test_active_process_visible_during_execution(self):
-        env = Environment()
-        seen = []
-
-        def proc():
-            seen.append(env.active_process)
-            yield env.timeout(1)
-
-        process = env.process(proc())
-        env.run()
-        assert seen == [process]
-        assert env.active_process is None
-
-    def test_store_getter_priority_over_late_putter(self):
-        env = Environment()
-        store = Store(env)
-        order = []
-
-        def consumer(name):
-            item = yield store.get()
-            order.append((name, item))
-
-        env.process(consumer("first"))
-        env.process(consumer("second"))
-
-        def producer():
-            yield env.timeout(1)
-            yield store.put("a")
-            yield store.put("b")
-
-        env.process(producer())
-        env.run()
-        assert order == [("first", "a"), ("second", "b")]
 
 
 class TestDispatcherDelays:
@@ -134,62 +71,3 @@ class TestPresetsEdges:
         for name in SCHEME_NAMES:
             assert make_scheme(name) is not None
 
-
-class TestAbandonSemantics:
-    """Interrupted waiters must withdraw their pending claims."""
-
-    def test_interrupted_putter_withdraws(self):
-        env = Environment()
-        store = Store(env, capacity=1)
-        store.put("filler")
-
-        def blocked_producer():
-            yield store.put("blocked-item")
-
-        producer = env.process(blocked_producer())
-
-        def killer():
-            yield env.timeout(1)
-            producer.interrupt()
-
-        env.process(killer())
-        with pytest.raises(Interrupt):
-            env.run(until=producer)
-        # The withdrawn put must not land when space frees up.
-        assert store.try_get() == "filler"
-        env.run()
-        assert store.items == []
-
-    def test_interrupted_resource_waiter_loses_place(self):
-        from repro.sim import Resource
-
-        env = Environment()
-        resource = Resource(env, capacity=1)
-        grants = []
-
-        def holder():
-            with resource.request() as req:
-                yield req
-                yield env.timeout(10)
-
-        def waiter(name):
-            with resource.request() as req:
-                try:
-                    yield req
-                except Interrupt:
-                    return
-                grants.append(name)
-
-        env.process(holder())
-        victim = env.process(waiter("victim"))
-        env.process(waiter("survivor"))
-
-        def killer():
-            yield env.timeout(1)
-            victim.interrupt()
-
-        env.process(killer())
-        env.run()
-        # The interrupted waiter never got the resource; the survivor did.
-        assert grants == ["survivor"]
-        assert resource.count == 0

@@ -1,124 +1,84 @@
-"""Property-based tests (hypothesis) on the DES kernel."""
+"""Property-based tests (hypothesis) on the DES kernel.
+
+Each example is a forest of ``schedule_call`` trees: a node is a delay
+and a list of children, and firing a node schedules its children from
+inside the callback. Delays come from a small grid, so zero delays and
+same-time ties are common.
+"""
+
+from itertools import count
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, PriorityStore, Resource, Store
+from repro.sim import Environment
 
-
-@given(st.lists(st.floats(min_value=0.0, max_value=1e6), max_size=50))
-@settings(max_examples=200, deadline=None)
-def test_timeouts_fire_in_sorted_order(delays):
-    env = Environment()
-    fired = []
-    for delay in delays:
-        env.timeout(delay).add_callback(lambda e, d=delay: fired.append(d))
-    env.run()
-    assert fired == sorted(delays)
-    assert len(fired) == len(delays)
-
-
-@given(st.lists(st.integers(), max_size=60))
-@settings(max_examples=200, deadline=None)
-def test_store_preserves_fifo_order(items):
-    env = Environment()
-    store = Store(env)
-    received = []
-
-    def producer():
-        for item in items:
-            yield store.put(item)
-            yield env.timeout(1)
-
-    def consumer():
-        for _ in items:
-            received.append((yield store.get()))
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert received == items
-
-
-@given(st.lists(st.integers(min_value=-1000, max_value=1000), max_size=60))
-@settings(max_examples=200, deadline=None)
-def test_priority_store_yields_sorted(items):
-    # PriorityStore yields the smallest *currently stored* item, so the
-    # globally sorted order is guaranteed only once all puts landed:
-    # the consumer starts after the producer finishes.
-    env = Environment()
-    store = PriorityStore(env)
-    received = []
-
-    def producer():
-        for item in items:
-            yield store.put(item)
-
-    def consumer(done_event):
-        yield done_event
-        for _ in items:
-            received.append((yield store.get()))
-
-    done = env.process(producer())
-    env.process(consumer(done))
-    env.run()
-    assert received == sorted(items)
-
-
-@given(
-    st.integers(min_value=1, max_value=8),
-    st.lists(
-        st.floats(min_value=0.1, max_value=10.0), min_size=1, max_size=30
+delays = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0, 3.5])
+trees = st.recursive(
+    st.builds(lambda delay: (delay, []), delays),
+    lambda children: st.builds(
+        lambda delay, kids: (delay, kids), delays, st.lists(children, max_size=4)
     ),
+    max_leaves=40,
 )
-@settings(max_examples=150, deadline=None)
-def test_resource_never_exceeds_capacity(capacity, hold_times):
+forests = st.lists(trees, max_size=6)
+cut_lists = st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 9.0]), max_size=5)
+
+
+def size(tree):
+    return 1 + sum(size(kid) for kid in tree[1])
+
+
+def run_forest(forest, cuts=()):
+    """Schedule ``forest`` at time 0, run it in ``until`` chunks, then
+    to the end; returns the environment, the ``(time, seq)`` trace and
+    the number of calls scheduled. ``seq`` numbers calls in the order
+    they were scheduled."""
     env = Environment()
-    resource = Resource(env, capacity=capacity)
-    concurrency = {"now": 0, "max": 0}
+    trace = []
+    scheduled = count()
 
-    def worker(hold):
-        with resource.request() as req:
-            yield req
-            concurrency["now"] += 1
-            concurrency["max"] = max(concurrency["max"], concurrency["now"])
-            yield env.timeout(hold)
-            concurrency["now"] -= 1
+    def schedule(node):
+        delay, kids = node
+        env.schedule_call(delay, fire, next(scheduled), kids)
 
-    for hold in hold_times:
-        env.process(worker(hold))
+    def fire(seq, kids):
+        trace.append((env.now, seq))
+        for kid in kids:
+            schedule(kid)
+
+    for root in forest:
+        schedule(root)
+    for cut in sorted(cuts):
+        env.run(until=cut)
     env.run()
-    assert concurrency["max"] <= capacity
-    assert concurrency["now"] == 0
-    assert resource.count == 0
+    return env, trace, next(scheduled)
 
 
-@given(
-    st.lists(
-        st.tuples(st.floats(min_value=0.0, max_value=100.0),
-                  st.floats(min_value=0.0, max_value=10.0)),
-        max_size=40,
-    )
-)
-@settings(max_examples=150, deadline=None)
-def test_capacity_one_store_conserves_items(schedule):
-    """Bounded store: every put eventually matched by exactly one get."""
-    env = Environment()
-    store = Store(env, capacity=1)
-    received = []
+@given(forests)
+@settings(max_examples=200, deadline=None)
+def test_calls_fire_in_time_then_scheduling_order(forest):
+    _env, trace, total = run_forest(forest)
+    assert len(trace) == total == sum(size(tree) for tree in forest)
+    # Strictly increasing (time, seq): time never goes back, and calls
+    # due at the same time fire in the order they were scheduled.
+    assert all(a < b for a, b in zip(trace, trace[1:]))
 
-    def producer():
-        for delay, _hold in schedule:
-            yield env.timeout(delay)
-            yield store.put(delay)
 
-    def consumer():
-        for _ in schedule:
-            item = yield store.get()
-            received.append(item)
+@given(forests, cut_lists)
+@settings(max_examples=200, deadline=None)
+def test_chunked_run_until_matches_one_run(forest, cuts):
+    env_whole, whole, _ = run_forest(forest)
+    env_chunked, chunked, _ = run_forest(forest, cuts)
+    assert chunked == whole
+    if whole:
+        assert env_chunked.now == env_whole.now == whole[-1][0]
 
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert len(received) == len(schedule)
-    assert len(store) == 0
+
+@given(forests, cut_lists)
+@settings(max_examples=200, deadline=None)
+def test_event_count_equals_calls_scheduled(forest, cuts):
+    env, _trace, total = run_forest(forest, cuts)
+    assert env.peek() == float("inf")
+    assert int(repr(env._eid)[len("count(") : -1]) == total
+    assert env._next_eid() == total

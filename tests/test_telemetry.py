@@ -226,11 +226,11 @@ def test_sampler_driven_by_engine():
 
     env = Environment()
 
-    def ticker(env):
-        for _ in range(10):
-            yield env.timeout(1.0)
+    def tick(remaining):
+        if remaining:
+            env.schedule_call(1.0, tick, remaining - 1)
 
-    env.process(ticker(env))
+    env.schedule_call(0.0, tick, 10)  # calls at 0, 1, ..., 10
     hub = TelemetryHub(sample_interval=2.5)
     clock = hub.add_probe("clock", lambda: env.now)
     env.attach_sampler(hub.make_sampler())
