@@ -39,6 +39,10 @@ def kernel_sojourn_times(
         raise ValueError("arrays must have identical shapes")
     if np.any((queues_of < 0) | (queues_of >= num_queues)):
         raise ValueError("queue id out of range")
+    if servers_per_queue < 1:
+        raise ValueError(
+            f"servers_per_queue must be positive, got {servers_per_queue!r}"
+        )
 
     env = Environment()
     waiting: List[Deque[int]] = [deque() for _ in range(num_queues)]

@@ -1,12 +1,28 @@
 """Edge cases across modules that the main suites don't reach."""
 
+import numpy as np
 import pytest
 
 from repro.arch import Chip, ChipConfig
 from repro.balancing import SingleQueue, SoftwareSingleQueue
 from repro.experiments.common import ExperimentResult
+from repro.queueing import kernel_sojourn_times
 from repro.sim import Environment, RngRegistry
 from repro.workloads import MicrobenchCosts, MicrobenchProgram
+
+
+class TestKernelEdges:
+    def test_store_getter_priority_over_late_putter(self):
+        # Request 2 arrives at t=1, just as request 0 leaves; request 1,
+        # already waiting, takes the freed serving unit first.
+        sojourns = kernel_sojourn_times(
+            np.array([0.0, 0.0, 1.0]),
+            np.array([1.0, 1.0, 1.0]),
+            np.zeros(3, dtype=int),
+            1,
+            1,
+        )
+        assert (np.array([0.0, 0.0, 1.0]) + sojourns).tolist() == [1.0, 2.0, 3.0]
 
 
 class TestDispatcherDelays:

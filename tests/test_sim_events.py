@@ -1,13 +1,12 @@
-"""Event primitive semantics: the contract everything else relies on."""
+"""Scheduled-call semantics: the contract everything else relies on.
+
+The kernel's only event is a scheduled call, and a process is a chain
+of calls that each schedule their successor.
+"""
 
 import pytest
 
-from repro.sim import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Interrupt,
-)
+from repro.sim import Environment
 
 
 @pytest.fixture
@@ -17,164 +16,155 @@ def env():
 
 class TestEvent:
     def test_starts_untriggered(self, env):
-        event = env.event()
-        assert not event.triggered
-        assert not event.processed
-
-    def test_value_before_trigger_raises(self, env):
-        event = env.event()
-        with pytest.raises(RuntimeError, match="not been triggered"):
-            _ = event.value
-
-    def test_succeed_sets_value(self, env):
-        event = env.event()
-        event.succeed(42)
-        assert event.triggered
-        assert event.ok
-        assert event.value == 42
-
-    def test_succeed_twice_raises(self, env):
-        event = env.event()
-        event.succeed()
-        with pytest.raises(RuntimeError, match="already been triggered"):
-            event.succeed()
-
-    def test_fail_then_succeed_raises(self, env):
-        event = env.event()
-        event.fail(ValueError("boom"))
-        with pytest.raises(RuntimeError, match="already been triggered"):
-            event.succeed()
-
-    def test_fail_requires_exception(self, env):
-        event = env.event()
-        with pytest.raises(TypeError):
-            event.fail("not an exception")
+        seen = []
+        env.schedule_call(0, seen.append, "x")
+        assert seen == []
+        assert env.peek() == 0.0
 
     def test_callbacks_run_on_processing(self, env):
-        event = env.event()
         seen = []
-        event.add_callback(seen.append)
-        event.succeed("x")
+        env.schedule_call(0, seen.append, "x")
         assert seen == []  # not yet processed
         env.run()
-        assert seen == [event]
-        assert event.processed
+        assert seen == ["x"]
+        assert env.peek() == float("inf")
 
     def test_callback_after_processed_runs_immediately(self, env):
-        event = env.event()
-        event.succeed()
+        env.schedule_call(3, lambda: None)
         env.run()
         seen = []
-        event.add_callback(seen.append)
-        assert seen == [event]
+        env.schedule_call(0, lambda: seen.append(env.now))
+        env.run()
+        assert seen == [3.0]
 
     def test_unhandled_failure_surfaces(self, env):
-        event = env.event()
-        event.fail(ValueError("boom"))
+        def boom():
+            raise ValueError("boom")
+
+        env.schedule_call(0, boom)
         with pytest.raises(ValueError, match="boom"):
             env.run()
-
-    def test_defused_failure_is_silent(self, env):
-        event = env.event()
-        event.fail(ValueError("boom"))
-        event.defuse()
-        env.run()  # no raise
 
 
 class TestTimeout:
     def test_fires_at_delay(self, env):
         times = []
-        env.timeout(5).add_callback(lambda e: times.append(env.now))
+        env.schedule_call(5, lambda: times.append(env.now))
         env.run()
         assert times == [5.0]
 
     def test_negative_delay_rejected(self, env):
         with pytest.raises(ValueError):
-            env.timeout(-1)
+            env.schedule_call(-1, lambda: None)
 
     def test_carries_value(self, env):
-        result = env.run(env.timeout(3, value="done"))
-        assert result == "done"
+        seen = []
+        env.schedule_call(3, lambda value: seen.append((env.now, value)), "done")
+        env.run()
+        assert seen == [(3.0, "done")]
 
     def test_zero_delay_is_valid(self, env):
-        assert env.run(env.timeout(0, value="now")) == "now"
+        seen = []
+        env.schedule_call(0, seen.append, "now")
+        env.run()
+        assert seen == ["now"]
         assert env.now == 0.0
 
     def test_cannot_be_manually_triggered(self, env):
-        timeout = env.timeout(1)
-        with pytest.raises(RuntimeError):
-            timeout.succeed()
+        # schedule_call hands back no handle: only the clock fires it.
+        seen = []
+        assert env.schedule_call(1, lambda: seen.append(env.now)) is None
+        env.run(until=0.5)
+        assert seen == []
+        env.run()
+        assert seen == [1.0]
 
 
 class TestProcess:
     def test_return_value_becomes_event_value(self, env):
-        def proc():
-            yield env.timeout(1)
-            return "result"
+        # A chain hands its result to a continuation, the way
+        # OneSidedEngine.issue reports through on_complete.
+        def proc(on_done):
+            env.schedule_call(1, on_done, "result")
 
-        assert env.run(env.process(proc())) == "result"
+        results = []
+        proc(lambda value: results.append((env.now, value)))
+        env.run()
+        assert results == [(1.0, "result")]
 
     def test_yielding_processed_event_continues_immediately(self, env):
-        timeout = env.timeout(1)
+        results = []
 
-        def proc():
-            yield env.timeout(2)  # timeout already processed by now
-            value = yield timeout
-            return (env.now, value)
+        def second_step():
+            results.append(env.now)
 
-        assert env.run(env.process(proc())) == (2.0, None)
+        def first_step():
+            env.schedule_call(0, second_step)  # no time passes
+
+        env.schedule_call(2, first_step)
+        env.run()
+        assert results == [2.0]
+        assert env.now == 2.0
 
     def test_exception_propagates_to_waiter(self, env):
+        log = []
+
         def failing():
-            yield env.timeout(1)
             raise RuntimeError("inner")
 
-        def waiter():
-            with pytest.raises(RuntimeError, match="inner"):
-                yield env.process(failing())
-            return "handled"
-
-        assert env.run(env.process(waiter())) == "handled"
-
-    def test_unhandled_process_exception_surfaces(self, env):
-        def failing():
-            yield env.timeout(1)
-            raise RuntimeError("inner")
-
-        env.process(failing())
+        env.schedule_call(1, failing)
+        env.schedule_call(2, log.append, "other chain")
+        # The caller of run() is the waiter: it handles the failure and
+        # resumes the schedule.
         with pytest.raises(RuntimeError, match="inner"):
             env.run()
+        assert env.now == 1.0
+        env.run()
+        assert log == ["other chain"]
+
+    def test_unhandled_process_exception_surfaces(self, env):
+        def step(remaining):
+            if not remaining:
+                raise RuntimeError("inner")
+            env.schedule_call(1, step, remaining - 1)
+
+        env.schedule_call(0, step, 2)
+        with pytest.raises(RuntimeError, match="inner"):
+            env.run()
+        assert env.now == 2.0
 
     def test_is_alive(self, env):
         def proc():
-            yield env.timeout(5)
+            pass
 
-        process = env.process(proc())
-        assert process.is_alive
+        env.schedule_call(5, proc)
+        # A chain is alive while its next call is pending.
+        assert env.peek() == 5.0
         env.run()
-        assert not process.is_alive
+        assert env.peek() == float("inf")
 
     def test_yield_non_event_raises(self, env):
-        def proc():
-            yield 42
-
-        env.process(proc())
-        with pytest.raises(RuntimeError, match="non-event"):
+        env.schedule_call(1, 42)
+        with pytest.raises(TypeError):
             env.run()
+        assert env.now == 1.0
 
     def test_two_processes_interleave(self, env):
         log = []
 
-        def ticker(name, period):
-            for _ in range(3):
-                yield env.timeout(period)
-                log.append((env.now, name))
+        def ticker(name, period, remaining):
+            if remaining:
+                env.schedule_call(period, tick, name, period, remaining)
 
-        env.process(ticker("a", 2))
-        env.process(ticker("b", 3))
+        def tick(name, period, remaining):
+            log.append((env.now, name))
+            ticker(name, period, remaining - 1)
+
+        ticker("a", 2, 3)
+        ticker("b", 3, 3)
         env.run()
-        # At t=6 both fire; b's timeout was scheduled earlier (at t=3,
-        # vs t=4 for a's), so it is processed first.
+        # At t=6 both fire; b's call was scheduled earlier (at t=3, vs
+        # t=4 for a's), so it is processed first.
         assert log == [
             (2.0, "a"),
             (3.0, "b"),
@@ -183,114 +173,3 @@ class TestProcess:
             (6.0, "a"),
             (9.0, "b"),
         ]
-
-
-class TestInterrupt:
-    def test_interrupt_wakes_process(self, env):
-        def sleeper():
-            try:
-                yield env.timeout(100)
-                return "slept"
-            except Interrupt as interrupt:
-                return ("interrupted", env.now, interrupt.cause)
-
-        process = env.process(sleeper())
-
-        def killer():
-            yield env.timeout(3)
-            process.interrupt("reason")
-
-        env.process(killer())
-        assert env.run(process) == ("interrupted", 3.0, "reason")
-
-    def test_interrupt_dead_process_raises(self, env):
-        def quick():
-            yield env.timeout(1)
-
-        process = env.process(quick())
-        env.run()
-        with pytest.raises(RuntimeError, match="terminated"):
-            process.interrupt()
-
-    def test_original_target_still_fires_for_others(self, env):
-        timeout = env.timeout(10, value="late")
-
-        def sleeper():
-            try:
-                yield timeout
-            except Interrupt:
-                pass
-            return "done"
-
-        def other():
-            value = yield timeout
-            return (env.now, value)
-
-        victim = env.process(sleeper())
-
-        def killer():
-            yield env.timeout(1)
-            victim.interrupt()
-
-        env.process(killer())
-        other_proc = env.process(other())
-        assert env.run(other_proc) == (10.0, "late")
-
-
-class TestConditions:
-    def test_any_of_fires_on_first(self, env):
-        def proc():
-            first = env.timeout(3, "x")
-            second = env.timeout(5, "y")
-            values = yield first | second
-            return (env.now, sorted(values.values()))
-
-        assert env.run(env.process(proc())) == (3.0, ["x"])
-
-    def test_all_of_waits_for_all(self, env):
-        def proc():
-            first = env.timeout(3, "x")
-            second = env.timeout(5, "y")
-            values = yield first & second
-            return (env.now, sorted(values.values()))
-
-        assert env.run(env.process(proc())) == (5.0, ["x", "y"])
-
-    def test_empty_condition_triggers_immediately(self, env):
-        condition = AllOf(env, [])
-        env.run()
-        assert condition.processed
-        assert condition.value == {}
-
-    def test_condition_failure_propagates(self, env):
-        event = env.event()
-
-        def proc():
-            with pytest.raises(ValueError, match="boom"):
-                yield event | env.timeout(100)
-            return "caught"
-
-        process = env.process(proc())
-
-        def failer():
-            yield env.timeout(1)
-            event.fail(ValueError("boom"))
-
-        env.process(failer())
-        assert env.run(process) == "caught"
-
-    def test_cross_environment_events_rejected(self, env):
-        other = Environment()
-        with pytest.raises(ValueError, match="different environments"):
-            AnyOf(env, [env.event(), other.event()])
-
-    def test_anyof_excludes_pending_timeouts(self, env):
-        # Regression: a Timeout is "triggered" at creation; it must not
-        # appear in the condition's value dict until it actually fired.
-        def proc():
-            early = env.timeout(1, "early")
-            late = env.timeout(100, "late")
-            values = yield early | late
-            return list(values.values())
-
-        assert env.run(env.process(proc())) == ["early"]

@@ -1,16 +1,20 @@
 """Property-based tests (hypothesis) on the DES kernel.
 
-Each example is a forest of ``schedule_call`` trees: a node is a delay
+Most examples are a forest of ``schedule_call`` trees: a node is a delay
 and a list of children, and firing a node schedules its children from
 inside the callback. Delays come from a small grid, so zero delays and
-same-time ties are common.
+same-time ties are common. The rest check the kernelsim oracle's
+FIFO queues and serving-unit pools, which are built from plain calls.
 """
 
 from itertools import count
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.queueing import kernel_sojourn_times
 from repro.sim import Environment
 
 delays = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0, 3.5])
@@ -82,3 +86,92 @@ def test_event_count_equals_calls_scheduled(forest, cuts):
     assert env.peek() == float("inf")
     assert int(repr(env._eid)[len("count(") : -1]) == total
     assert env._next_eid() == total
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=1e6), max_size=50))
+@settings(max_examples=200, deadline=None)
+def test_timeouts_fire_in_sorted_order(delays):
+    env = Environment()
+    fired = []
+    for delay in delays:
+        env.schedule_call(delay, fired.append, delay)
+    env.run()
+    assert fired == sorted(delays)
+
+
+@given(st.lists(st.integers(min_value=-1000, max_value=1000), max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_priority_store_yields_sorted(items):
+    # The heap pops the smallest pending time first; equal times keep
+    # scheduling order, so the trace is a stable sort.
+    env = Environment()
+    received = []
+    for index, item in enumerate(items):
+        env.schedule_call(item + 1000, received.append, (item, index))
+    env.run()
+    assert received == sorted((item, index) for index, item in enumerate(items))
+
+
+def single_queue_sojourns(arrivals, services, servers):
+    return kernel_sojourn_times(
+        np.asarray(arrivals, dtype=float),
+        np.asarray(services, dtype=float),
+        np.zeros(len(arrivals), dtype=int),
+        1,
+        servers,
+    )
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=10.0), max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_store_preserves_fifo_order(services):
+    # One arrival per time unit at one serving unit: each request
+    # starts when it arrives or when its predecessor leaves, whichever
+    # is later (Lindley's recursion), i.e. strictly in arrival order.
+    arrivals = np.arange(len(services), dtype=float)
+    departures = arrivals + single_queue_sojourns(arrivals, services, 1)
+    previous = 0.0
+    for arrival, service, departure in zip(arrivals, services, departures):
+        previous = max(arrival, previous) + service
+        assert departure == pytest.approx(previous, abs=1e-9)
+
+
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.lists(
+        st.floats(min_value=0.1, max_value=10.0), min_size=1, max_size=30
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_resource_never_exceeds_capacity(capacity, hold_times):
+    holds = np.asarray(hold_times)
+    ends = single_queue_sojourns(np.zeros(holds.size), holds, capacity)
+    starts = ends - holds
+    # Everyone arrives at 0, so the pool is full until the queue drains.
+    concurrency = [
+        int(np.sum((starts <= start + 1e-9) & (ends > start + 1e-9)))
+        for start in starts
+    ]
+    assert max(concurrency) <= capacity
+    assert int(np.sum(starts <= 1e-9)) == min(capacity, holds.size)
+
+
+@given(
+    st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=100.0),
+                  st.floats(min_value=0.0, max_value=10.0)),
+        max_size=40,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_capacity_one_store_conserves_items(schedule):
+    """One serving unit: every arrival departs exactly once."""
+    gaps = [delay for delay, _hold in schedule]
+    holds = np.asarray([hold for _delay, hold in schedule], dtype=float)
+    arrivals = np.cumsum(gaps)
+    stays = single_queue_sojourns(arrivals, holds, 1)
+    assert stays.size == len(schedule)
+    assert np.all(np.isfinite(stays))
+    assert np.all(stays >= holds - 1e-9)
+    departures = arrivals + stays
+    assert np.all(np.diff(departures) >= -1e-9)

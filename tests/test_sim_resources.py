@@ -1,8 +1,16 @@
-"""Store, PriorityStore, and Resource semantics."""
+"""The FIFO queues and server pools the models build from plain calls.
 
+A queue pair's CQ feeds a core that serves one entry at a time, the
+kernelsim oracle keeps per-queue deques with a pool of serving units,
+and the kernel's own heap orders pending calls smallest time first.
+"""
+
+import numpy as np
 import pytest
 
-from repro.sim import Environment, PriorityStore, Resource, Store
+from repro.arch.qp import QueuePair
+from repro.queueing import kernel_sojourn_times
+from repro.sim import Environment
 
 
 @pytest.fixture
@@ -10,181 +18,112 @@ def env():
     return Environment()
 
 
+class ServingCore:
+    """The core side of a QP's protocol: serve one CQE for ``hold``,
+    then pull the next from the CQ or go idle."""
+
+    def __init__(self, env, qp, hold):
+        self.env = env
+        self.qp = qp
+        self.hold = hold
+        self.busy = False
+        self.served = []
+        qp.core = self
+
+    def start(self, item):
+        self.busy = True
+        self.served.append((self.env.now, item))
+        self.env.schedule_call(self.hold, self._finish)
+
+    def _finish(self):
+        if self.qp.cq:
+            self.start(self.qp.cq.popleft())
+        else:
+            self.busy = False
+
+
+def sojourns(arrivals, services, servers=1):
+    return kernel_sojourn_times(
+        np.asarray(arrivals, dtype=float),
+        np.asarray(services, dtype=float),
+        np.zeros(len(arrivals), dtype=int),
+        1,
+        servers,
+    ).tolist()
+
+
 class TestStore:
     def test_put_then_get_fifo(self, env):
-        store = Store(env)
-        results = []
-
-        def consumer():
-            for _ in range(3):
-                results.append((yield store.get()))
-
+        qp = QueuePair(0)
+        core = ServingCore(env, qp, hold=1)
         for item in ("a", "b", "c"):
-            store.put(item)
-        env.process(consumer())
+            qp.post_cqe(item)
         env.run()
-        assert results == ["a", "b", "c"]
+        assert core.served == [(0.0, "a"), (1.0, "b"), (2.0, "c")]
 
     def test_get_blocks_until_put(self, env):
-        store = Store(env)
-
-        def consumer():
-            item = yield store.get()
-            return (env.now, item)
-
-        def producer():
-            yield env.timeout(5)
-            yield store.put("late")
-
-        process = env.process(consumer())
-        env.process(producer())
-        assert env.run(process) == (5.0, "late")
-
-    def test_capacity_blocks_putters(self, env):
-        store = Store(env, capacity=1)
-        progress = []
-
-        def producer():
-            yield store.put("first")
-            progress.append(("first stored", env.now))
-            yield store.put("second")
-            progress.append(("second stored", env.now))
-
-        def consumer():
-            yield env.timeout(10)
-            item = yield store.get()
-            return item
-
-        env.process(producer())
-        env.process(consumer())
+        qp = QueuePair(0)
+        core = ServingCore(env, qp, hold=1)
+        env.schedule_call(5, qp.post_cqe, "late")
         env.run()
-        assert progress == [("first stored", 0.0), ("second stored", 10.0)]
-
-    def test_invalid_capacity(self, env):
-        with pytest.raises(ValueError):
-            Store(env, capacity=0)
+        assert core.served == [(5.0, "late")]
+        assert not core.busy
 
     def test_len_and_items(self, env):
-        store = Store(env)
-        store.put(1)
-        store.put(2)
-        env.run()
-        assert len(store) == 2
-        assert store.items == [1, 2]
-
-    def test_try_get(self, env):
-        store = Store(env)
-        assert store.try_get() is None
-        store.put("x")
-        env.run()
-        assert store.try_get() == "x"
-        assert store.try_get() is None
-
-    def test_try_get_with_blocked_getters_raises(self, env):
-        store = Store(env)
-
-        def consumer():
-            yield store.get()
-
-        env.process(consumer())
-        env.run()
-        with pytest.raises(RuntimeError):
-            store.try_get()
+        qp = QueuePair(0)
+        qp.post_wqe(1)
+        qp.post_wqe(2)
+        assert len(qp.wq) == 2
+        assert list(qp.wq) == [1, 2]
+        # With no core polling it, the CQ holds every posted entry.
+        qp.post_cqe("x")
+        qp.post_cqe("y")
+        assert list(qp.cq) == ["x", "y"]
+        assert qp.max_cq_depth == 2
 
     def test_waiting_counts(self, env):
-        store = Store(env, capacity=1)
-        store.put("a")
-        store.put("b")  # blocked
-        store.get()
-
-        def noop():
-            yield env.timeout(0)
-
-        env.process(noop())
+        qp = QueuePair(0)
+        core = ServingCore(env, qp, hold=1)
+        qp.post_cqe("a")  # idle core: taken at once
+        qp.post_cqe("b")  # waits behind "a"
+        assert core.served == [(0.0, "a")]
+        assert list(qp.cq) == ["b"]
+        assert qp.max_cq_depth == 1
         env.run()
-        # "a" got taken by the getter, then "b" moved in.
-        assert store.waiting_putters == 0
-        assert store.waiting_getters == 0
-        assert store.items == ["b"]
+        assert list(qp.cq) == []
+        assert core.served == [(0.0, "a"), (1.0, "b")]
 
 
 class TestPriorityStore:
     def test_smallest_first(self, env):
-        store = PriorityStore(env)
         results = []
 
-        def consumer():
-            for _ in range(3):
-                results.append((yield store.get()))
+        def producer():
+            for item in (5, 1, 3):
+                env.schedule_call(item, results.append, item)
 
-        for item in (5, 1, 3):
-            store.put(item)
-        env.process(consumer())
+        env.schedule_call(0, producer)
         env.run()
         assert results == [1, 3, 5]
 
     def test_items_sorted(self, env):
-        store = PriorityStore(env)
         for item in (2, 9, 4):
-            store.put(item)
-        env.run()
-        assert store.items == [2, 4, 9]
-        assert len(store) == 3
+            env.schedule_call(item, lambda: None)
+        seen = []
+        while env.peek() != float("inf"):
+            seen.append(env.peek())
+            env.run(until=env.peek())
+        assert seen == [2.0, 4.0, 9.0]
 
 
 class TestResource:
-    def test_mutual_exclusion_and_fifo(self, env):
-        resource = Resource(env, capacity=1)
-        log = []
+    def test_mutual_exclusion_and_fifo(self):
+        # One serving unit: the requests start at 0, 4 and 6.
+        assert sojourns([0, 0, 0], [4, 2, 1]) == [4.0, 6.0, 7.0]
 
-        def worker(name, hold):
-            with resource.request() as req:
-                yield req
-                log.append((env.now, name))
-                yield env.timeout(hold)
+    def test_capacity_two_allows_two_holders(self):
+        assert sojourns([0, 0, 0], [3, 3, 3], servers=2) == [3.0, 3.0, 6.0]
 
-        env.process(worker("a", 4))
-        env.process(worker("b", 2))
-        env.process(worker("c", 1))
-        env.run()
-        assert log == [(0.0, "a"), (4.0, "b"), (6.0, "c")]
-
-    def test_capacity_two_allows_two_holders(self, env):
-        resource = Resource(env, capacity=2)
-        log = []
-
-        def worker(name):
-            with resource.request() as req:
-                yield req
-                log.append((env.now, name))
-                yield env.timeout(3)
-
-        for name in ("a", "b", "c"):
-            env.process(worker(name))
-        env.run()
-        assert log == [(0.0, "a"), (0.0, "b"), (3.0, "c")]
-
-    def test_count_and_queue_length(self, env):
-        resource = Resource(env, capacity=1)
-        first = resource.request()
-        second = resource.request()
-        assert resource.count == 1
-        assert resource.queue_length == 1
-        resource.release(first)
-        assert resource.count == 1  # second was granted
-        assert resource.queue_length == 0
-        resource.release(second)
-        assert resource.count == 0
-
-    def test_cancel_pending_request(self, env):
-        resource = Resource(env, capacity=1)
-        held = resource.request()
-        pending = resource.request()
-        resource.release(pending)  # cancel while waiting
-        assert resource.queue_length == 0
-        resource.release(held)
-        assert resource.count == 0
-
-    def test_invalid_capacity(self, env):
+    def test_invalid_capacity(self):
         with pytest.raises(ValueError):
-            Resource(env, capacity=0)
+            sojourns([0], [1], servers=0)
