@@ -19,7 +19,7 @@ from .interference import InterferenceModel, PeriodicStragglers, RandomStalls
 from .mesh import Mesh
 from .onesided import OneSidedCompletion, OneSidedEngine
 from .packets import OneSidedWrite, Replenish, SendMessage
-from .protocol import make_replenish, make_send
+from .protocol import SendFactory, make_replenish, make_send
 from .qp import CompletionQueueEntry, QueuePair, WorkQueueEntry
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
     "SendMessage",
     "Replenish",
     "OneSidedWrite",
+    "SendFactory",
     "make_send",
     "make_replenish",
     "MessagingDomain",

@@ -38,6 +38,9 @@ class NIBackend:
         #: (kind, item, packets) work items waiting behind the one in service.
         self._waiting: deque = deque()
         self._busy = False
+        #: Pipeline occupancy per item: fixed + packets × per-packet.
+        self._fixed_ns = chip.config.backend_fixed_ns
+        self._per_packet_ns = chip.config.backend_per_packet_ns
         #: Observability counters.
         self.messages_reassembled = 0
         self.replies_sent = 0
@@ -81,14 +84,30 @@ class NIBackend:
             self._waiting.append((kind, item, num_packets))
             return
         self._busy = True
-        config = self.chip.config
-        busy = config.backend_fixed_ns + num_packets * config.backend_per_packet_ns
+        busy = self._fixed_ns + num_packets * self._per_packet_ns
         self.chip.env.schedule_call(busy, self._finish, kind, item, busy)
 
     def _finish(self, kind: str, item, busy: float) -> None:
         self.busy_ns += busy
         if kind == "ingress":
-            self._message_complete(item)
+            # All packets of the message are written: drive the
+            # receive-slot counter to completion (the whole message's
+            # fetch-and-increments in one call), then forward the
+            # completion packet to the message's dispatcher.
+            msg = item
+            chip = self.chip
+            slot = chip.receive_buffer.slots[msg.receive_slot]
+            if not slot.packets_arrived(msg.num_packets):  # pragma: no cover
+                raise RuntimeError("packet counter disagrees with message length")
+            self.messages_reassembled += 1
+            env = chip.env
+            msg.t_reassembled = env.now
+            dispatcher = chip.dispatchers[msg.group_id]
+            delay = dispatcher._forward_ns[self.backend_id]
+            if delay > 0:
+                env.schedule_call(delay, dispatcher.on_message_ready, msg)
+            else:
+                dispatcher.on_message_ready(msg)
         elif kind == "egress":
             self.replies_sent += 1
         elif kind == "onesided":
@@ -96,21 +115,3 @@ class NIBackend:
         self._busy = False
         if self._waiting:
             self._submit(*self._waiting.popleft())
-
-    def _message_complete(self, msg: SendMessage) -> None:
-        """All packets of ``msg`` written; counters confirmed complete."""
-        chip = self.chip
-        # Drive the receive-slot counter state machine to completion.
-        for _ in range(msg.num_packets):
-            done = chip.receive_buffer.packet_arrived(msg.receive_slot)
-        if not done:  # pragma: no cover - invariant
-            raise RuntimeError("packet counter disagrees with message length")
-        self.messages_reassembled += 1
-        msg.t_reassembled = chip.env.now
-
-        dispatcher = chip.dispatchers[msg.group_id]
-        delay = dispatcher.completion_forward_delay_ns(self.backend_id)
-        if delay > 0:
-            chip.env.schedule_call(delay, dispatcher.on_message_ready, msg)
-        else:
-            dispatcher.on_message_ready(msg)

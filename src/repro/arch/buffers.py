@@ -135,9 +135,14 @@ class ReceiveSlot:
 
     def packet_arrived(self) -> bool:
         """NI fetch-and-increment; True when the message is complete."""
+        return self.packets_arrived(1)
+
+    def packets_arrived(self, count: int) -> bool:
+        """``count`` fetch-and-increments at once (a backend writes a
+        whole message in one pipeline pass); True when complete."""
         if not self.busy:
             raise RuntimeError("packet for an idle receive slot")
-        self.counter += 1
+        self.counter += count
         if self.counter > self.expected_packets:
             raise RuntimeError("more packets than the message header declared")
         return self.counter == self.expected_packets
@@ -225,7 +230,13 @@ class ReceiveBuffer(_SlotBuffer):
         if not 0 <= index < len(self.slots):
             raise ValueError(f"slot index {index!r} out of range")
         self.slots[index].begin_message(expected_packets)
-        self._note_occupy()
+        # _note_occupy, inlined: every RPC passes here.
+        occupied = self._occupied = self._occupied + 1
+        if occupied > self.max_occupied:
+            self.max_occupied = occupied
+        hist = self.occupancy_hist
+        if hist is not None:
+            hist.record(occupied)
         return index
 
     def packet_arrived(self, index: int) -> bool:
@@ -233,7 +244,7 @@ class ReceiveBuffer(_SlotBuffer):
 
     def release(self, index: int) -> None:
         self.slots[index].release()
-        self._note_release()
+        self._occupied -= 1
 
 
 class DynamicSlotAllocator:

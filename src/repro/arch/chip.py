@@ -16,7 +16,7 @@ message→group spray before the simulation starts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .cpu import Core, CoreProgram
 from .frontend import NIFrontend
 from .mesh import Mesh
 from .packets import OneSidedWrite, SendMessage
-from .protocol import make_send
+from .protocol import SendFactory
 
 __all__ = ["Chip", "ChipStats"]
 
@@ -110,10 +110,26 @@ class Chip:
         #: Telemetry hub, set by :func:`repro.telemetry.instrument_chip`
         #: (None = telemetry disabled; instrumented sites stay no-ops).
         self.telemetry = None
-        #: Recycled SendMessage records (see :meth:`make_send`); only
-        #: populated while ``completed_messages`` is None, because a
-        #: kept message must never be reset under the keeper.
-        self._message_pool: List[SendMessage] = []
+        sends = SendFactory(config)
+        #: ``make_send(msg_id, src_node, slot, size_bytes, service_ns,
+        #: label="rpc")`` builds a send operation (see
+        #: :meth:`SendFactory.make`), resetting a completed record from
+        #: the pool below instead of allocating. Traffic sources go
+        #: through it, so ~max-in-flight records serve the whole run.
+        self.make_send = sends.make
+        #: Completed SendMessage records awaiting reuse; only populated
+        #: while ``completed_messages`` is None, because a kept message
+        #: must never be reset under the keeper.
+        self._message_pool: List[SendMessage] = sends.free
+        #: The program's (pre, post, reply size), or None to call its
+        #: per-message methods (see :meth:`CoreProgram.fixed_costs`).
+        self._fixed_costs = program.fixed_costs()
+        #: Each core's reply egress backend, and reply packets per size
+        #: (only successful ``packets_for`` results are cached).
+        self._reply_backend = [
+            self._nearest_backend(core_id) for core_id in range(config.num_cores)
+        ]
+        self._reply_packets: Dict[int, int] = {}
 
     # -- scheme installation ---------------------------------------------------
 
@@ -127,33 +143,6 @@ class Chip:
         self.per_request_core_overhead_ns = core_overhead_ns
 
     # -- network-facing entry points ------------------------------------------
-
-    def make_send(
-        self,
-        msg_id: int,
-        src_node: int,
-        slot: int,
-        size_bytes: int,
-        service_ns: float,
-        label: str = "rpc",
-    ) -> SendMessage:
-        """Build a send operation, recycling a completed record if any.
-
-        Same contract as :func:`repro.arch.protocol.make_send`; traffic
-        sources go through this so one pool of ~max-in-flight message
-        records serves the whole run instead of one allocation per RPC.
-        """
-        pool = self._message_pool
-        return make_send(
-            self.config,
-            msg_id=msg_id,
-            src_node=src_node,
-            slot=slot,
-            size_bytes=size_bytes,
-            service_ns=service_ns,
-            label=label,
-            recycle=pool.pop() if pool else None,
-        )
 
     def submit_message(self, msg: SendMessage) -> None:
         """A send message reaches the chip's NI (time = ``env.now``).
@@ -223,30 +212,32 @@ class Chip:
     def complete_request(self, msg: SendMessage, core: Core) -> None:
         """Core posted the replenish for ``msg`` at ``env.now`` (§4.2)."""
         config = self.config
-        self.stats.completed += 1
+        stats = self.stats
+        stats.completed += 1
+        fixed = self._fixed_costs
+        pre_ns = self.program.pre_ns(msg) if fixed is None else fixed[0]
         # Core occupancy = everything between CQE pickup and replenish;
         # reconstruct it from the (t_start - pre) .. t_replenish window.
-        occupancy = (
-            msg.t_replenish
-            - msg.t_start
-            + self.program.pre_ns(msg)
-            + msg.extra_pre_ns
-        )
-        self.stats.occupancy_sum_ns += occupancy
-        self.recorder.record(msg.t_replenish, msg.latency_ns, msg.label)
+        t_replenish = msg.t_replenish
+        stats.occupancy_sum_ns += t_replenish - msg.t_start + pre_ns + msg.extra_pre_ns
+        # The latency is msg.latency_ns; both timestamps are set by now.
+        self.recorder.record(t_replenish, t_replenish - msg.t_arrival, msg.label)
         if self.completed_messages is not None:
             self.completed_messages.append(msg)
 
         # 1. Replenish propagates to the dispatcher that issued the RPC.
-        self.frontends[core.core_id].propagate_replenish(msg)
+        core_id = core.core_id
+        self.frontends[core_id].propagate_replenish(msg)
         # 2. The receive slot frees once the RPC is processed.
         self.receive_buffer.release(msg.receive_slot)
         # 3. The reply (512B send) leaves through this core's nearest
         #    backend, consuming egress pipeline occupancy.
         if config.model_reply_egress:
-            reply_packets = config.packets_for(self.program.reply_size_bytes(msg))
-            backend_id = self._nearest_backend(core.core_id)
-            self.backends[backend_id].send_reply(reply_packets)
+            size = self.program.reply_size_bytes(msg) if fixed is None else fixed[2]
+            reply_packets = self._reply_packets.get(size)
+            if reply_packets is None:
+                reply_packets = self._reply_packets[size] = config.packets_for(size)
+            self.backends[self._reply_backend[core_id]].send_reply(reply_packets)
         # 4. The replenish packet reaches the source node one wire
         #    latency later and frees the sender's send slot. The record
         #    is recycled once that callback (the last reader) has run.

@@ -11,7 +11,7 @@ core model.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from .packets import SendMessage
 from .qp import QueuePair
@@ -46,6 +46,16 @@ class CoreProgram(abc.ABC):
         """Size of the RPC reply payload (paper microbenchmark: 512B)."""
         return 512
 
+    def fixed_costs(self) -> Optional[Tuple[float, float, int]]:
+        """``(pre_ns, post_ns, reply_size_bytes)`` if no message changes
+        them, else None.
+
+        The core and the chip read a program's fixed costs once instead
+        of calling the three methods on every request. The default,
+        None, keeps the per-message calls.
+        """
+        return None
+
 
 class Core:
     """One CPU core spinning on its private CQ (a callback-driven server)."""
@@ -54,6 +64,9 @@ class Core:
         self.chip = chip
         self.core_id = core_id
         self.program = program
+        #: The program's (pre, post, reply size), or None to call its
+        #: per-message methods (see :meth:`CoreProgram.fixed_costs`).
+        self._fixed_costs = program.fixed_costs()
         self.qp = QueuePair(core_id)
         self.qp.core = self
         #: True from a request's pickup until the core pulls its next CQE.
@@ -73,13 +86,19 @@ class Core:
         self.busy = True
         chip = self.chip
         env = chip.env
-        pre = self.program.pre_ns(msg) + msg.extra_pre_ns
+        fixed = self._fixed_costs
+        if fixed is None:
+            pre_ns = self.program.pre_ns(msg)
+            post_ns = self.program.post_ns(msg)
+        else:
+            pre_ns, post_ns, _reply = fixed
+        pre = pre_ns + msg.extra_pre_ns
         if chip.interference is not None:
             # §3.2 tail-inducing events: stall before the RPC runs.
             pre += chip.interference.pause_ns(
                 self.core_id, env.now, chip._interference_rng
             )
-        post = self.program.post_ns(msg) + chip.per_request_core_overhead_ns
+        post = post_ns + chip.per_request_core_overhead_ns
         msg.t_start = env.now + pre
         occupancy = pre + msg.service_ns + post
         env.schedule_call(occupancy, self._finish, msg, occupancy)

@@ -48,11 +48,11 @@ class NIFrontend:
         frontend to the NI backend that originally dispatched the
         request."
         """
-        dispatcher = self.chip.dispatchers[msg.group_id]
-        delay = dispatcher.replenish_delay_ns(self.core_id)
+        chip = self.chip
+        core_id = self.core_id
+        dispatcher = chip.dispatchers[msg.group_id]
+        delay = dispatcher._replenish_ns[core_id]
         if delay > 0:
-            self.chip.env.schedule_call(
-                delay, dispatcher.on_replenish, self.core_id, msg
-            )
+            chip.env.schedule_call(delay, dispatcher.on_replenish, core_id, msg)
         else:
-            dispatcher.on_replenish(self.core_id, msg)
+            dispatcher.on_replenish(core_id, msg)

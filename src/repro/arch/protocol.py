@@ -9,12 +9,67 @@ header so the receiving NI can detect completion).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, List
 
 from .config import ChipConfig
 from .packets import Replenish, SendMessage
 
-__all__ = ["make_send", "make_replenish"]
+__all__ = ["SendFactory", "make_send", "make_replenish"]
+
+
+class SendFactory:
+    """Builds the send operations of one chip config.
+
+    :meth:`make` is the one validation and packetization path:
+    :func:`make_send` and :meth:`repro.arch.Chip.make_send` both build
+    through it. Packet counts are memoized per size; only counts that
+    :meth:`ChipConfig.packets_for` returned are cached, so an invalid
+    size raises on every call.
+    """
+
+    __slots__ = ("config", "free", "_remote_nodes", "_slots", "_packets")
+
+    def __init__(self, config: ChipConfig) -> None:
+        self.config = config
+        #: Completed records that :meth:`make` resets in place instead
+        #: of allocating (the chip's pool of ~max-in-flight messages).
+        self.free: List[SendMessage] = []
+        self._remote_nodes = config.num_remote_nodes
+        self._slots = config.send_slots_per_node
+        self._packets: Dict[int, int] = {}
+
+    def make(
+        self,
+        msg_id: int,
+        src_node: int,
+        slot: int,
+        size_bytes: int,
+        service_ns: float,
+        label: str = "rpc",
+    ) -> SendMessage:
+        """Build a send operation, packetized per the chip's MTU.
+
+        Oversized payloads (> ``max_msg_bytes``) are *not* rejected:
+        the chip converts them to a rendezvous transfer on arrival
+        (§4.2).
+        """
+        if not 0 <= src_node < self._remote_nodes:
+            raise ValueError(f"src_node {src_node!r} out of range")
+        if not 0 <= slot < self._slots:
+            raise ValueError(f"slot {slot!r} out of range")
+        num_packets = self._packets.get(size_bytes)
+        if num_packets is None:
+            config = self.config
+            num_packets = config.packets_for(min(size_bytes, config.max_msg_bytes))
+            self._packets[size_bytes] = num_packets
+        free = self.free
+        if free:
+            return free.pop().reset(
+                msg_id, src_node, slot, size_bytes, num_packets, service_ns, label
+            )
+        return SendMessage(
+            msg_id, src_node, slot, size_bytes, num_packets, service_ns, label
+        )
 
 
 def make_send(
@@ -25,38 +80,13 @@ def make_send(
     size_bytes: int,
     service_ns: float,
     label: str = "rpc",
-    recycle: Optional[SendMessage] = None,
 ) -> SendMessage:
-    """Build a send operation, packetized per the chip's MTU.
+    """Build one send operation (see :meth:`SendFactory.make`).
 
-    Oversized payloads (> ``max_msg_bytes``) are *not* rejected: the
-    chip converts them to a rendezvous transfer on arrival (§4.2).
-    When ``recycle`` is given (a completed message from the chip's
-    pool), it is reset in place instead of allocating a new record.
+    Callers that build many sends keep a :class:`SendFactory` instead.
     """
-    if not 0 <= src_node < config.num_remote_nodes:
-        raise ValueError(f"src_node {src_node!r} out of range")
-    if not 0 <= slot < config.send_slots_per_node:
-        raise ValueError(f"slot {slot!r} out of range")
-    num_packets = config.packets_for(min(size_bytes, config.max_msg_bytes))
-    if recycle is not None:
-        return recycle.reset(
-            msg_id=msg_id,
-            src_node=src_node,
-            slot=slot,
-            size_bytes=size_bytes,
-            num_packets=num_packets,
-            service_ns=service_ns,
-            label=label,
-        )
-    return SendMessage(
-        msg_id=msg_id,
-        src_node=src_node,
-        slot=slot,
-        size_bytes=size_bytes,
-        num_packets=num_packets,
-        service_ns=service_ns,
-        label=label,
+    return SendFactory(config).make(
+        msg_id, src_node, slot, size_bytes, service_ns, label
     )
 
 

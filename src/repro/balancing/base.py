@@ -17,6 +17,7 @@ dispatchers and define the latency/serialization model of dispatch.
 from __future__ import annotations
 
 import abc
+import numbers
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
@@ -29,6 +30,23 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..arch.packets import SendMessage
 
 __all__ = ["Dispatcher", "BalancingScheme"]
+
+
+def check_outstanding_limit(limit: Optional[int]) -> Optional[int]:
+    """Return ``limit`` if it is None or an integer >= 1, else raise.
+
+    A float or bool would be accepted by ``< limit`` comparisons and
+    silently act as its ceiling (2.5 as 3, True as 1).
+    """
+    if limit is not None and not (
+        isinstance(limit, numbers.Integral)
+        and not isinstance(limit, bool)
+        and limit >= 1
+    ):
+        raise ValueError(
+            f"outstanding_limit must be an integer >= 1 or None, got {limit!r}"
+        )
+    return limit
 
 
 class Dispatcher:
@@ -47,8 +65,7 @@ class Dispatcher:
     ) -> None:
         if not core_ids:
             raise ValueError("dispatcher needs at least one core")
-        if outstanding_limit is not None and outstanding_limit < 1:
-            raise ValueError(f"outstanding_limit must be >= 1, got {outstanding_limit!r}")
+        check_outstanding_limit(outstanding_limit)
         self.chip = chip
         self.group_id = group_id
         self.core_ids = list(core_ids)
@@ -75,8 +92,22 @@ class Dispatcher:
         self.cq_depth_hist = None
         self.decision_hist = None
         self.dispatch_counter = None
+        # Route tables: the three delays below, evaluated once per
+        # backend/core so the per-RPC path indexes a list instead of
+        # calling through the mesh's checked lookups.
+        config = chip.config
+        self._forward_ns = [
+            self.completion_forward_delay_ns(backend)
+            for backend in range(config.num_backends)
+        ]
+        self._replenish_ns = [
+            self.replenish_delay_ns(core) for core in range(config.num_cores)
+        ]
+        self._delivery_ns = [
+            self.delivery_delay_ns(core) for core in range(config.num_cores)
+        ]
 
-    # -- latency model hooks (overridden by schemes) ----------------------------
+    # -- latency model (tabulated into the route tables at construction) -------
 
     def completion_forward_delay_ns(self, backend_id: int) -> float:
         """Mesh latency: receiving backend → this dispatcher (§4.3)."""
@@ -122,10 +153,7 @@ class Dispatcher:
         hist = self.cq_depth_hist
         if hist is not None:
             hist.record(depth)
-        if self.outstanding_limit is None:
-            self._drain(idle_only=False)
-        else:
-            self._drain(idle_only=True)
+        self._drain(self.outstanding_limit is not None)
 
     def on_replenish(self, core_id: int, msg: "SendMessage") -> None:
         """A core finished a request previously dispatched by us.
@@ -140,13 +168,14 @@ class Dispatcher:
             raise RuntimeError(
                 f"replenish from core {core_id} with no outstanding requests"
             )
-        self.outstanding[core_id] = count - 1
-        if self.shared_cq and (
-            self.outstanding_limit is None
-            or self.outstanding[core_id] < self.outstanding_limit
-        ):
-            self._dispatch_to(self.shared_cq.popleft(), core_id)
-        self._drain(idle_only=self.outstanding_limit is not None)
+        count -= 1
+        self.outstanding[core_id] = count
+        limit = self.outstanding_limit
+        shared_cq = self.shared_cq
+        if shared_cq and (limit is None or count < limit):
+            self._dispatch_to(shared_cq.popleft(), core_id)
+        if shared_cq:
+            self._drain(limit is not None)
 
     # -- the dispatch loop ------------------------------------------------------------
 
@@ -160,8 +189,10 @@ class Dispatcher:
         slots fill only at replenish time (see :meth:`on_replenish`).
         """
         limit = 1 if idle_only else self.outstanding_limit
-        while self.shared_cq:
-            core_id = self.policy.select(
+        shared_cq = self.shared_cq
+        select = self.policy.select
+        while shared_cq:
+            core_id = select(
                 self.core_ids,
                 self.outstanding,
                 limit,
@@ -170,7 +201,7 @@ class Dispatcher:
             )
             if core_id is None:
                 return
-            self._dispatch_to(self.shared_cq.popleft(), core_id)
+            self._dispatch_to(shared_cq.popleft(), core_id)
 
     def _dispatch_to(self, msg: "SendMessage", core_id: int) -> None:
         hist = self.decision_hist
@@ -186,14 +217,15 @@ class Dispatcher:
 
     def _deliver(self, msg: "SendMessage", core_id: int) -> None:
         """Schedule CQE delivery, honoring dispatch serialization."""
-        env = self.chip.env
+        chip = self.chip
+        env = chip.env
         now = env.now
         start = self._busy_until if self._busy_until > now else now
         decision_done = start + self.serialize_ns
         self._busy_until = decision_done
         msg.t_dispatch = decision_done
-        delay = (decision_done - now) + self.delivery_delay_ns(core_id)
-        frontend = self.chip.frontends[core_id]
+        delay = (decision_done - now) + self._delivery_ns[core_id]
+        frontend = chip.frontends[core_id]
         if delay > 0:
             env.schedule_call(delay, frontend.deliver, msg)
         else:

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .base import BalancingScheme, Dispatcher
+from .base import BalancingScheme, Dispatcher, check_outstanding_limit
 from .policies import SelectionPolicy, make_policy
 
 __all__ = ["SingleQueue", "Grouped", "Partitioned"]
@@ -44,12 +44,8 @@ class Grouped(BalancingScheme):
     ) -> None:
         if num_groups < 1:
             raise ValueError(f"num_groups must be >= 1, got {num_groups!r}")
-        if outstanding_limit is not None and outstanding_limit < 1:
-            raise ValueError(
-                f"outstanding_limit must be >= 1 or None, got {outstanding_limit!r}"
-            )
         self.num_groups = num_groups
-        self.outstanding_limit = outstanding_limit
+        self.outstanding_limit = check_outstanding_limit(outstanding_limit)
         self.policy_name = policy
         self.label = self._make_label()
 

@@ -68,17 +68,25 @@ class LeastOutstanding(SelectionPolicy):
     name = "least_outstanding"
 
     def select(self, core_ids, outstanding, limit, rng, last_dispatch=None):
-        available = self._available(core_ids, outstanding, limit)
-        if not available:
-            return None
+        # The minimum of (count, age, core) over available cores, in one
+        # pass without building the list or the key tuples; a full tie
+        # goes to the smallest core id wherever it sits in core_ids.
         best = None
-        best_key = None
-        for core in available:
+        best_count = best_age = 0
+        for core in core_ids:
             count = outstanding[core]
+            if limit is not None and count >= limit:
+                continue
             age = last_dispatch[core] if last_dispatch is not None else 0.0
-            key = (count, age, core)
-            if best_key is None or key < best_key:
-                best, best_key = core, key
+            if (
+                best is None
+                or count < best_count
+                or (
+                    count == best_count
+                    and (age < best_age or (age == best_age and core < best))
+                )
+            ):
+                best, best_count, best_age = core, count, age
         return best
 
 

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequenc
 
 import numpy as np
 
-from ..arch import Chip, ChipConfig, SendMessage, make_send
+from ..arch import Chip, ChipConfig, SendFactory, SendMessage
 from ..balancing import BalancingScheme, SingleQueue
 from ..metrics import LatencyRecorder, LatencySummary
 from ..sim import Environment, RngRegistry
@@ -197,6 +197,9 @@ class ClusterNode:
         )
         scheme.install(self.chip, rngs.stream("dispatch"))
         self.chip.on_slot_replenished = self._replenish_returned
+        #: Builds this node's outgoing requests (no recycling: a sent
+        #: record may still be in flight or duplicated on the fabric).
+        self._sends = SendFactory(cluster.config)
         slots = cluster.config.send_slots_per_node
         self._slots_per_peer = slots
         #: Free send slots toward each destination node (by node id).
@@ -322,14 +325,13 @@ class ClusterNode:
             self._number(attempt)
         dst = attempt.dst
         attempt.slot = slot
-        msg = make_send(
-            cluster.config,
-            msg_id=attempt.msg_id,
-            src_node=_peer_index(self.node_id, dst),
-            slot=slot,
-            size_bytes=cluster.workload.request_size_bytes,
-            service_ns=attempt.service_ns,
-            label=attempt.rpc.label,
+        msg = self._sends.make(
+            attempt.msg_id,
+            _peer_index(self.node_id, dst),
+            slot,
+            cluster.workload.request_size_bytes,
+            attempt.service_ns,
+            attempt.rpc.label,
         )
         cluster.sender_of[(dst, msg.src_node, slot)] = attempt
         delay = cluster.fabric.latency_ns(self.node_id, dst)

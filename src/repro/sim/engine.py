@@ -33,10 +33,13 @@ class Environment:
         Starting value of the simulation clock.
     """
 
-    __slots__ = ("_now", "_queue", "_eid", "_next_eid", "_sampler")
+    __slots__ = ("now", "_queue", "_eid", "_next_eid", "_sampler")
 
     def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+        #: Current simulation time. A plain attribute that only the run
+        #: loop writes — read-only by convention. Models read it on
+        #: every stage, so a property's call would cost on every read.
+        self.now = float(initial_time)
         self._queue: List[Tuple[float, int, Callable[..., Any], tuple]] = []
         #: Sequence numbers of scheduled calls; ``repr`` reads the next
         #: one without consuming it, so it doubles as the event count.
@@ -45,13 +48,6 @@ class Environment:
         #: this call, so skip the iterator-protocol dispatch.
         self._next_eid = self._eid.__next__
         self._sampler = None
-
-    # -- clock ----------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self._now
 
     # -- telemetry ------------------------------------------------------------
 
@@ -83,7 +79,7 @@ class Environment:
         # otherwise sort before every finite time and fire first.
         if not delay >= 0:
             raise ValueError(f"delay must be a number >= 0, got {delay!r}")
-        heappush(self._queue, (self._now + delay, self._next_eid(), fn, args))
+        heappush(self._queue, (self.now + delay, self._next_eid(), fn, args))
 
     def peek(self) -> float:
         """Time of the next scheduled call, or ``inf`` if none."""
@@ -108,7 +104,7 @@ class Environment:
             if sampler is None:
                 while queue:
                     when, _seq, fn, args = pop(queue)
-                    self._now = when
+                    self.now = when
                     fn(*args)
                 return
             # Telemetry variant: poll the periodic sampler before each
@@ -117,20 +113,20 @@ class Environment:
                 when, _seq, fn, args = pop(queue)
                 if when >= sampler.next_at:
                     sampler.advance(when)
-                self._now = when
+                self.now = when
                 fn(*args)
             return
         stop_at = float(until)
-        if not stop_at >= self._now:
+        if not stop_at >= self.now:
             raise ValueError(
-                f"until ({stop_at}) must be a time not before now ({self._now})"
+                f"until ({stop_at}) must be a time not before now ({self.now})"
             )
         while queue:
             if queue[0][0] > stop_at:
-                self._now = stop_at
+                self.now = stop_at
                 return
             when, _seq, fn, args = pop(queue)
             if sampler is not None and when >= sampler.next_at:
                 sampler.advance(when)
-            self._now = when
+            self.now = when
             fn(*args)

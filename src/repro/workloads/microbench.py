@@ -104,3 +104,7 @@ class MicrobenchProgram(CoreProgram):
 
     def reply_size_bytes(self, msg: SendMessage) -> int:
         return self._reply_size
+
+    def fixed_costs(self):
+        costs = self.costs
+        return (costs.pre_ns, costs.post_ns, self._reply_size)

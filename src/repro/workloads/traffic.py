@@ -21,8 +21,11 @@ with deliberately tiny provisioning).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..arch.buffers import DynamicSlotAllocator
 from ..arch.chip import Chip
@@ -67,8 +70,10 @@ class ClosedLoopClients:
             raise ValueError(
                 f"requests_per_client must be positive, got {requests_per_client!r}"
             )
-        if think_time_ns < 0:
-            raise ValueError(f"think_time_ns must be non-negative, got {think_time_ns!r}")
+        if not 0 <= think_time_ns < math.inf:
+            raise ValueError(
+                f"think_time_ns must be finite and non-negative, got {think_time_ns!r}"
+            )
         slots = chip.config.send_slots_per_node
         nodes = chip.config.num_remote_nodes
         if num_clients > nodes * slots:
@@ -143,8 +148,10 @@ class TrafficGenerator:
         source_skew: float = 0.0,
         arrival_process: Optional[ArrivalProcess] = None,
     ) -> None:
-        if arrival_rate_rps <= 0:
-            raise ValueError(f"arrival rate must be positive, got {arrival_rate_rps!r}")
+        if not 0 < arrival_rate_rps < math.inf:
+            raise ValueError(
+                f"arrival rate must be positive and finite, got {arrival_rate_rps!r}"
+            )
         if num_requests <= 0:
             raise ValueError(f"num_requests must be positive, got {num_requests!r}")
         if slot_policy not in ("static", "dynamic"):
@@ -217,32 +224,44 @@ class TrafficGenerator:
         # bitstream exactly like the former per-request scalar draws.
         # An arrival process (repro.popload) replaces only the gap
         # batch; StationaryPoisson makes the identical vectorized call.
+        # The batches are read through memoryviews: indexing one yields
+        # a plain float or int, the value float()/int() of the numpy
+        # scalar gave, without boxing a numpy scalar per request.
         n = num_requests
         if arrival_process is not None:
-            self._gaps = arrival_process.sample_gaps(self._arrival_rng, n)
+            gaps = arrival_process.sample_gaps(self._arrival_rng, n)
         else:
-            self._gaps = self._arrival_rng.exponential(1e9 / arrival_rate_rps, size=n)
+            gaps = self._arrival_rng.exponential(1e9 / arrival_rate_rps, size=n)
+        self._gaps = memoryview(np.ascontiguousarray(gaps, dtype=np.float64))
         if self._source_probs is not None:
-            self._sources = self._source_rng.choice(
+            sources = self._source_rng.choice(
                 num_remote, size=n, p=self._source_probs
             )
         else:
-            self._sources = self._source_rng.integers(0, num_remote, size=n)
-        self._services, self._labels = workload.sample_batch(self._service_rng, n)
-        chip.env.schedule_call(float(self._gaps[0]), self._arrive, 0)
+            sources = self._source_rng.integers(0, num_remote, size=n)
+        self._sources = memoryview(np.ascontiguousarray(sources, dtype=np.int64))
+        services, self._labels = workload.sample_batch(self._service_rng, n)
+        self._services = memoryview(np.ascontiguousarray(services, dtype=np.float64))
+        self._request_bytes = workload.request_size_bytes
+        chip.env.schedule_call(self._gaps[0], self._arrive, 0)
 
     # -- arrival chain -------------------------------------------------------
 
     def _arrive(self, msg_id: int) -> None:
         """Request ``msg_id`` arrives; then schedule the next arrival."""
-        src = int(self._sources[msg_id])
-        service_ns = float(self._services[msg_id])
+        src = self._sources[msg_id]
+        service_ns = self._services[msg_id]
         label = self._labels[msg_id]
         self.generated += 1
         if self.slot_policy == "static":
             free = self._free_slots[src]
             if free:
-                self._send_static(msg_id, src, free.pop(), service_ns, label)
+                chip = self.chip
+                chip.submit_message(
+                    chip.make_send(
+                        msg_id, src, free.pop(), self._request_bytes, service_ns, label
+                    )
+                )
             else:
                 self.stalled += 1
                 self._pending.setdefault(src, deque()).append(
@@ -257,31 +276,14 @@ class TrafficGenerator:
                 self._pool_pending.append((msg_id, src, service_ns, label))
         msg_id += 1
         if msg_id < self.num_requests:
-            self.chip.env.schedule_call(float(self._gaps[msg_id]), self._arrive, msg_id)
-
-    def _send_static(
-        self, msg_id: int, src: int, slot: int, service_ns: float, label: str
-    ) -> None:
-        msg = self.chip.make_send(
-            msg_id=msg_id,
-            src_node=src,
-            slot=slot,
-            size_bytes=self.workload.request_size_bytes,
-            service_ns=service_ns,
-            label=label,
-        )
-        self.chip.submit_message(msg)
+            self.chip.env.schedule_call(self._gaps[msg_id], self._arrive, msg_id)
 
     def _send_dynamic(
         self, msg_id: int, src: int, index: int, service_ns: float, label: str
     ) -> None:
+        # Slot 0: the slot field is unused under pooled provisioning.
         msg = self.chip.make_send(
-            msg_id=msg_id,
-            src_node=src,
-            slot=0,  # slot field unused under pooled provisioning
-            size_bytes=self.workload.request_size_bytes,
-            service_ns=service_ns,
-            label=label,
+            msg_id, src, 0, self._request_bytes, service_ns, label
         )
         msg.receive_slot = index
         self.chip.submit_message(msg)
@@ -294,7 +296,12 @@ class TrafficGenerator:
             pending = self._pending.get(msg.src_node)
             if pending:
                 msg_id, src, service_ns, label = pending.popleft()
-                self._send_static(msg_id, src, msg.slot, service_ns, label)
+                chip = self.chip
+                chip.submit_message(
+                    chip.make_send(
+                        msg_id, src, msg.slot, self._request_bytes, service_ns, label
+                    )
+                )
             else:
                 self._free_slots[msg.src_node].append(msg.slot)
         else:

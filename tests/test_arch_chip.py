@@ -1,5 +1,7 @@
 """End-to-end message walk-through on the simulated chip."""
 
+import sys
+
 import pytest
 
 from repro.arch import Chip, ChipConfig, make_replenish, make_send
@@ -206,3 +208,28 @@ class TestEventBudget:
         assert chip.stats.completed == 4_000
         events = chip.env._next_eid()  # ids handed out so far
         assert events / chip.stats.completed <= 8.0
+
+    @pytest.mark.parametrize("scheme", ["1x16", "4x4", "16x1"])
+    def test_python_calls_per_rpc(self, scheme):
+        # Each NI stage is one kernel call plus about one Python call of
+        # model code: route tables instead of checked mesh lookups, the
+        # program's fixed costs read once, one call per receive-slot
+        # transition. About 40 per RPC today (77 before the chip path
+        # was flattened); a wrapper layer per stage would add ~8.
+        system = make_system(scheme, "herd", seed=0)
+        rngs = RngRegistry(0)
+        chip = system._build(rngs)
+        TrafficGenerator(chip, system.workload, 23e6, 4_000, rngs)  # ≈0.8·C
+        calls = [0]
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls[0] += 1
+
+        sys.setprofile(profile)
+        try:
+            chip.env.run()
+        finally:
+            sys.setprofile(None)
+        assert chip.stats.completed == 4_000
+        assert calls[0] / chip.stats.completed <= 45
