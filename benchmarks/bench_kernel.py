@@ -98,3 +98,44 @@ def test_arch_sim_throughput(benchmark, scheme):
         benchmark.extra_info["us_per_rpc"] = (
             benchmark.stats.stats.median / ARCH_RPCS * 1e6
         )
+
+
+#: Routing decisions per round of the rack-router benchmark.
+ROUTE_DECISIONS = 20_000
+
+
+@pytest.mark.parametrize(
+    "policy, signal", [("random", "fresh"), ("jsq2", "piggyback"), ("sed", "broadcast:2000")]
+)
+def test_rack_route_decision(benchmark, policy, signal):
+    """Host cost of one ``RackRouter.choose`` on a bound 16-node rack.
+
+    Each round restores the same outstanding counts and client views
+    (small integers, so JSQ/SED ties occur) and routes
+    ``ROUTE_DECISIONS`` RPCs round-robin over the clients; the median
+    round's µs per decision is ``extra_info["us_per_decision"]``.
+    """
+    from repro.cluster import Cluster
+    from repro.rack import RackRouter
+
+    router = RackRouter(policy, signal)
+    Cluster(num_nodes=16, seed=0, router=router)
+    start = np.random.default_rng(1)
+    outstanding = start.integers(0, 4, 16).tolist()
+    views = start.integers(0, 4, (16, 16)).astype(float).tolist()
+
+    def run():
+        router.outstanding = list(outstanding)
+        router.signal.estimates = [list(row) for row in views]
+        rng = np.random.default_rng(0)
+        choose = router.choose
+        for decision in range(ROUTE_DECISIONS):
+            choose(decision % 16, rng)
+        return sum(router.outstanding)
+
+    total = benchmark.pedantic(run, rounds=5, iterations=1)
+    assert total == sum(outstanding) + ROUTE_DECISIONS
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["us_per_decision"] = (
+            benchmark.stats.stats.median / ROUTE_DECISIONS * 1e6
+        )

@@ -36,7 +36,6 @@ synchronous state reads). Tolerance bands are enforced by
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from collections import deque
 from functools import lru_cache
 from typing import List, Optional, Sequence
@@ -45,7 +44,7 @@ import numpy as np
 
 from ..cluster.cluster import ClusterResult
 from ..queueing.fastsim import simulate_fifo_queue
-from ..rack.policies import PowerOfD, ZipfDestinations, make_policy
+from ..rack.policies import ZipfDestinations, make_policy
 from ..rack.router import RouterStats
 from ..rack.signals import BroadcastSignal, PiggybackSignal, make_signal
 from .calibration import bisect_occupancy, light_load_overhead_ns
@@ -352,10 +351,11 @@ def _rack_front_end(
     """The rack's ``(route, admit, release)`` callbacks for ``run_loop``.
 
     Load-aware policies (JSQ(d)/SED) are inherently state-dependent, so
-    their decisions run through the rack package's policy objects
-    verbatim; only the signal models are re-expressed on flat state
-    (live counters, broadcast snapshots, per-client piggyback views)
-    because the DES versions are event-driven. State-independent
+    every decision calls the rack package's policy object, the one the
+    DES router calls, on a node-indexed load row; only the signal
+    models are re-expressed on flat state (live counters, broadcast
+    snapshots, per-client piggyback views) because the DES versions are
+    event-driven. State-independent
     policies pass their precomputed destinations via ``static_dsts``
     and only pay for the closed-loop send-slot bookkeeping.
 
@@ -408,27 +408,12 @@ def _rack_front_end(
         return lambda index, client, now: static[index], admit, release, None, stalled
 
     errors = array("d", bytes(8 * total))
-    capacities = {node: cores[node] * float(speeds[node]) for node in range(num_nodes)}
-    peers_of = [[int(node) for node in destinations.peers_of(c)] for c in range(num_nodes)]
+    capacities = [cores[node] * float(speeds[node]) for node in range(num_nodes)]
     is_broadcast = isinstance(signal_obj, BroadcastSignal)
     period = signal_obj.period_ns if is_broadcast else 0.0
     next_tick = period
     snap = [0] * num_nodes
-    integers = rng.integers
-    rng_random = rng.random
     choose = policy_obj.choose
-
-    # JSQ(d) dominates the sequential traffic (ext-rack, ext-scale); an
-    # inlined decision loop replays PowerOfD.choose's *exact* variate
-    # sequence (same rejection sampling, same tie-break draws) on flat
-    # lists — no per-event estimates dict, and ``bisect`` instead of a
-    # scalar ``np.searchsorted`` per candidate. Equivalence is pinned by
-    # tests/test_fastpath.py against the policy-object path.
-    jsq_d = policy_obj.d if isinstance(policy_obj, PowerOfD) else None
-    jsq_cumulative = [
-        [float(value) for value in destinations.cumulative_of(client)]
-        for client in range(num_nodes)
-    ] if jsq_d is not None else None
 
     def route(index: int, client: int, now: float) -> int:
         nonlocal snap, next_tick
@@ -441,22 +426,7 @@ def _rack_front_end(
             believe = views[client]
         else:
             believe = outstanding
-        if jsq_d is not None:
-            cumulative = jsq_cumulative[client]
-            peers = peers_of[client]
-            last = len(cumulative) - 1
-            chosen: List[int] = []
-            while len(chosen) < jsq_d:
-                position = bisect_right(cumulative, rng_random())
-                candidate = peers[position if position < last else last]
-                if candidate not in chosen:
-                    chosen.append(candidate)
-            best = min(believe[node] for node in chosen)
-            tied = [node for node in chosen if believe[node] == best]
-            dst = tied[0] if len(tied) == 1 else tied[integers(0, len(tied))]
-        else:
-            estimates = {node: float(believe[node]) for node in peers_of[client]}
-            dst = choose(client, destinations, estimates, capacities, rng)
+        dst = choose(client, destinations, believe, None, capacities, rng)
         errors[index] = abs(float(believe[dst]) - outstanding[dst])
         return dst
 

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import AbstractSet, Dict, List, Optional, Sequence
+import numbers
+from bisect import bisect_right
+from typing import Collection, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -38,8 +40,16 @@ __all__ = [
     "PowerOfD",
     "ShortestExpectedDelay",
     "ZipfDestinations",
+    "check_skew",
     "make_policy",
 ]
+
+
+def check_skew(skew: float) -> float:
+    """Return ``skew`` if it is a finite, non-negative Zipf exponent, else raise."""
+    if not (math.isfinite(skew) and skew >= 0):
+        raise ValueError(f"skew must be finite and non-negative, got {skew!r}")
+    return skew
 
 
 class ZipfDestinations:
@@ -55,29 +65,29 @@ class ZipfDestinations:
     def __init__(self, num_nodes: int, skew: float = 0.0) -> None:
         if num_nodes < 2:
             raise ValueError(f"need at least 2 nodes, got {num_nodes!r}")
-        if not (math.isfinite(skew) and skew >= 0):
-            raise ValueError(f"skew must be finite and non-negative, got {skew!r}")
+        check_skew(skew)
         self.num_nodes = num_nodes
         self.skew = skew
         weights = np.array(
             [1.0 / (rank + 1.0) ** skew for rank in range(num_nodes)]
         )
-        #: Per-client peer lists, raw weights, and cumulative weights.
-        self._peers: List[np.ndarray] = []
+        #: Per-client peer lists, raw weights, and cumulative weights;
+        #: the scalar draws read the plain-list copies.
+        self._peers: List[List[int]] = []
         self._weights: List[np.ndarray] = []
         self._cumulative: List[np.ndarray] = []
+        self._cumulative_list: List[List[float]] = []
         for client in range(num_nodes):
-            peers = np.array(
-                [node for node in range(num_nodes) if node != client]
-            )
+            peers = [node for node in range(num_nodes) if node != client]
             peer_weights = weights[peers]
+            cumulative = np.cumsum(peer_weights / peer_weights.sum())
             self._peers.append(peers)
             self._weights.append(peer_weights)
-            self._cumulative.append(
-                np.cumsum(peer_weights / peer_weights.sum())
-            )
+            self._cumulative.append(cumulative)
+            self._cumulative_list.append(cumulative.tolist())
 
-    def peers_of(self, client: int) -> Sequence[int]:
+    def peers_of(self, client: int) -> List[int]:
+        """``client``'s peers in id order (shared: do not mutate)."""
         return self._peers[client]
 
     def cumulative_of(self, client: int) -> np.ndarray:
@@ -93,7 +103,7 @@ class ZipfDestinations:
         self,
         client: int,
         rng: np.random.Generator,
-        allowed: Optional[AbstractSet[int]] = None,
+        allowed: Optional[Collection[int]] = None,
     ) -> int:
         """Draw one destination for ``client`` by popularity.
 
@@ -101,27 +111,27 @@ class ZipfDestinations:
         servers excluded), popularity renormalizes over the allowed
         peers. ``allowed=None`` keeps the exact historical draw
         sequence (one uniform variate against precomputed cumulative
-        weights).
+        weights; ``bisect_right`` finds the index ``searchsorted(...,
+        side="right")`` would).
         """
-        if allowed is None:
-            cumulative = self._cumulative[client]
-            index = int(np.searchsorted(cumulative, rng.random(), side="right"))
-            return int(self._peers[client][min(index, len(cumulative) - 1)])
         peers = self._peers[client]
-        keep = [i for i, node in enumerate(peers) if int(node) in allowed]
+        if allowed is None:
+            index = bisect_right(self._cumulative_list[client], rng.random())
+            return peers[min(index, len(peers) - 1)]
+        keep = [i for i, node in enumerate(peers) if node in allowed]
         if not keep:
             keep = list(range(len(peers)))
         weights = self._weights[client][keep]
         cumulative = np.cumsum(weights / weights.sum())
         index = int(np.searchsorted(cumulative, rng.random(), side="right"))
-        return int(peers[keep[min(index, len(cumulative) - 1)]])
+        return peers[keep[min(index, len(cumulative) - 1)]]
 
     def sample_distinct(
         self,
         client: int,
         count: int,
         rng: np.random.Generator,
-        allowed: Optional[AbstractSet[int]] = None,
+        allowed: Optional[Collection[int]] = None,
     ) -> List[int]:
         """Draw ``count`` distinct destinations by popularity.
 
@@ -129,15 +139,21 @@ class ZipfDestinations:
         the full candidate list when ``count`` exhausts it.
         """
         peers = self._peers[client]
-        if allowed is not None:
-            pool = [int(node) for node in peers if int(node) in allowed]
-            if not pool:
-                pool = [int(node) for node in peers]
-        else:
-            pool = [int(node) for node in peers]
+        pool = peers if allowed is None else [n for n in peers if n in allowed] or peers
         if count >= len(pool):
-            return pool
+            return list(pool)
         chosen: List[int] = []
+        if allowed is None:
+            # sample()'s unrestricted draw, inlined: this loop is every
+            # JSQ(d) decision on both tiers.
+            cumulative = self._cumulative_list[client]
+            last = len(peers) - 1
+            while len(chosen) < count:
+                index = bisect_right(cumulative, rng.random())
+                candidate = peers[index if index < last else last]
+                if candidate not in chosen:
+                    chosen.append(candidate)
+            return chosen
         while len(chosen) < count:
             candidate = self.sample(client, rng, allowed)
             if candidate not in chosen:
@@ -159,33 +175,30 @@ class RackPolicy(abc.ABC):
         self,
         client: int,
         destinations: ZipfDestinations,
-        estimates: Dict[int, float],
-        capacities: Dict[int, float],
+        believe: Sequence[float],
+        candidates: Optional[Sequence[int]],
+        capacities: Sequence[float],
         rng: np.random.Generator,
     ) -> int:
         """Return the destination node id for one request.
 
-        ``estimates``' key set is the *candidate set*: normally every
-        peer of ``client``, but the router may exclude
-        suspected-dead servers — policies must route within it. Values
-        are the client's current belief about each candidate's
-        outstanding load (see :mod:`repro.rack.signals`);
-        ``capacities`` maps peers to relative service capacity
-        (cores x speed, 1.0 for a homogeneous rack).
+        ``believe[node]`` is the client's current belief about each
+        node's outstanding load (see :mod:`repro.rack.signals`), and
+        ``capacities[node]`` its relative service capacity (cores x
+        speed, 1.0 for a homogeneous rack); both are node-indexed.
+        ``candidates`` is None when every peer of ``client`` may be
+        chosen — the path that keeps the historical draw sequence —
+        and otherwise the allowed peers in ``peers_of`` order (the
+        router excludes suspected-dead servers); policies must route
+        within it.
         """
 
 
-def _restriction(
-    client: int, destinations: "ZipfDestinations", estimates: Dict[int, float]
-):
-    """The allowed-set for sampling, or None for the full peer set.
-
-    Returning None on the unrestricted (common) case keeps the
-    historical RNG draw sequence bit-identical.
-    """
-    if len(estimates) == len(destinations.peers_of(client)):
-        return None
-    return estimates.keys()
+def _pick_tied(tied: List[int], rng: np.random.Generator) -> int:
+    """One of equally-scored nodes; a draw only when there is a tie."""
+    if len(tied) == 1:
+        return tied[0]
+    return tied[int(rng.integers(0, len(tied)))]
 
 
 class UniformRandomPolicy(RackPolicy):
@@ -193,10 +206,8 @@ class UniformRandomPolicy(RackPolicy):
 
     label = "random"
 
-    def choose(self, client, destinations, estimates, capacities, rng):
-        return destinations.sample(
-            client, rng, _restriction(client, destinations, estimates)
-        )
+    def choose(self, client, destinations, believe, candidates, capacities, rng):
+        return destinations.sample(client, rng, candidates)
 
 
 class RoundRobinPolicy(RackPolicy):
@@ -211,32 +222,20 @@ class RoundRobinPolicy(RackPolicy):
     def __init__(self) -> None:
         self._cursor: Dict[int, int] = {}
 
-    def choose(self, client, destinations, estimates, capacities, rng):
+    def choose(self, client, destinations, believe, candidates, capacities, rng):
         peers = destinations.peers_of(client)
         cursor = self._cursor.get(client, client % len(peers))
-        if len(estimates) != len(peers):
+        if candidates is not None:
             # Advance past excluded (suspected) peers; at most one full
             # cycle, falling back to the raw cursor if all are excluded.
             for _ in range(len(peers)):
-                node = int(peers[cursor % len(peers)])
+                node = peers[cursor % len(peers)]
                 cursor += 1
-                if node in estimates:
+                if node in candidates:
                     self._cursor[client] = cursor
                     return node
         self._cursor[client] = cursor + 1
-        return int(peers[cursor % len(peers)])
-
-
-def _argmin_with_random_ties(
-    candidates: Sequence[int],
-    score: Dict[int, float],
-    rng: np.random.Generator,
-) -> int:
-    best = min(score[node] for node in candidates)
-    tied = [node for node in candidates if score[node] == best]
-    if len(tied) == 1:
-        return tied[0]
-    return tied[int(rng.integers(0, len(tied)))]
+        return peers[cursor % len(peers)]
 
 
 class PowerOfD(RackPolicy):
@@ -245,16 +244,23 @@ class PowerOfD(RackPolicy):
     uses_load_signal = True
 
     def __init__(self, d: int = 2) -> None:
-        if d < 1:
-            raise ValueError(f"d must be >= 1, got {d!r}")
+        if not (isinstance(d, numbers.Integral) and not isinstance(d, bool) and d >= 1):
+            raise ValueError(f"d must be an integer >= 1, got {d!r}")
         self.d = d
         self.label = f"jsq{d}"
 
-    def choose(self, client, destinations, estimates, capacities, rng):
-        candidates = destinations.sample_distinct(
-            client, self.d, rng, _restriction(client, destinations, estimates)
-        )
-        return _argmin_with_random_ties(candidates, estimates, rng)
+    def choose(self, client, destinations, believe, candidates, capacities, rng):
+        chosen = destinations.sample_distinct(client, self.d, rng, candidates)
+        best = believe[chosen[0]]
+        tied = [chosen[0]]
+        for node in chosen[1:]:
+            load = believe[node]
+            if load < best:
+                best = load
+                tied = [node]
+            elif load == best:
+                tied.append(node)
+        return _pick_tied(tied, rng)
 
 
 class ShortestExpectedDelay(RackPolicy):
@@ -268,15 +274,20 @@ class ShortestExpectedDelay(RackPolicy):
     label = "sed"
     uses_load_signal = True
 
-    def choose(self, client, destinations, estimates, capacities, rng):
-        # The candidate set is the estimates key set (insertion order
-        # follows peers_of, so draws match the historical behaviour
-        # when no peer is excluded).
-        score = {
-            node: (estimate + 1.0) / capacities[node]
-            for node, estimate in estimates.items()
-        }
-        return _argmin_with_random_ties(list(score), score, rng)
+    def choose(self, client, destinations, believe, candidates, capacities, rng):
+        # Ties are collected in peers_of order: the tie draw's index
+        # depends on it.
+        nodes = destinations.peers_of(client) if candidates is None else candidates
+        best = math.inf
+        tied: List[int] = []
+        for node in nodes:
+            score = (float(believe[node]) + 1.0) / capacities[node]
+            if score < best:
+                best = score
+                tied = [node]
+            elif score == best:
+                tied.append(node)
+        return _pick_tied(tied, rng)
 
 
 def make_policy(spec: str) -> RackPolicy:

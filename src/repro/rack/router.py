@@ -16,12 +16,13 @@ staleness-error histograms when the cluster runs instrumented.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from .policies import RackPolicy, ZipfDestinations, make_policy
+from .policies import RackPolicy, ZipfDestinations, check_skew, make_policy
 from .signals import LoadSignal, make_signal
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -93,14 +94,13 @@ class RackRouter:
         suspect_after_ns: Optional[float] = None,
         heartbeat_period_ns: Optional[float] = None,
     ) -> None:
-        if suspect_after_ns is not None and suspect_after_ns <= 0:
-            raise ValueError(
-                f"suspect_after_ns must be positive, got {suspect_after_ns!r}"
-            )
-        if heartbeat_period_ns is not None and heartbeat_period_ns <= 0:
-            raise ValueError(
-                f"heartbeat_period_ns must be positive, got {heartbeat_period_ns!r}"
-            )
+        for name, value in (
+            ("suspect_after_ns", suspect_after_ns),
+            ("heartbeat_period_ns", heartbeat_period_ns),
+        ):
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        check_skew(skew)
         self.policy = make_policy(policy) if isinstance(policy, str) else policy
         self.signal = make_signal(signal) if isinstance(signal, str) else signal
         self.skew = skew
@@ -114,7 +114,7 @@ class RackRouter:
         self.suspected: set = set()
         self.last_heard: List[float] = []
         self.destinations: Optional[ZipfDestinations] = None
-        self.capacities: Dict[int, float] = {}
+        self.capacities: List[float] = []
         self.stats = RouterStats(
             policy=self.policy.label, signal=self.signal.label, skew=skew
         )
@@ -141,9 +141,9 @@ class RackRouter:
         self.suspected = set()
         self.last_heard = [0.0] * self.num_nodes
         self.destinations = ZipfDestinations(self.num_nodes, self.skew)
-        self.capacities = {
-            node: cluster.capacity_weight(node) for node in range(self.num_nodes)
-        }
+        self.capacities = [
+            cluster.capacity_weight(node) for node in range(self.num_nodes)
+        ]
         self.signal.bind(self)
 
     def start(self) -> None:
@@ -218,45 +218,49 @@ class RackRouter:
     def choose(self, client: int, rng: np.random.Generator) -> int:
         """Route one RPC issued by ``client``; returns the server id.
 
-        The candidate set is the key set of ``estimates``: all of the
-        client's peers, minus currently-suspected servers (falling back
-        to every peer when all are suspected — routing somewhere beats
-        routing nowhere).
+        The candidates are all of the client's peers minus
+        currently-suspected servers, in ``peers_of`` order; the policy
+        gets None for "every peer" — nothing excluded, or everything
+        (routing somewhere beats routing nowhere).
         """
-        signal = self.signal
-        peers = self.destinations.peers_of(client)
+        destinations = self.destinations
         suspected = self.suspected
+        candidates = None
         if suspected:
-            candidates = [int(node) for node in peers if int(node) not in suspected]
-            if not candidates:
-                candidates = [int(node) for node in peers]
-        else:
-            candidates = [int(node) for node in peers]
-        estimates = {node: signal.estimate(client, node) for node in candidates}
-        dst = self.policy.choose(
-            client, self.destinations, estimates, self.capacities, rng
+            peers = destinations.peers_of(client)
+            candidates = [node for node in peers if node not in suspected]
+            if not candidates or len(candidates) == len(peers):
+                candidates = None
+        believe = self.signal.view(client)
+        policy = self.policy
+        dst = policy.choose(
+            client, destinations, believe, candidates, self.capacities, rng
         )
+        outstanding = self.outstanding
         capture = self.trace_capture
         if capture is not None:
             self.trace_capture = None
             capture.note_decision(
-                policy=self.policy.label,
+                policy=policy.label,
                 signal=self.signal.label,
                 dst=dst,
-                estimate=float(estimates[dst]),
-                outstanding=self.outstanding[dst],
-                candidates=len(candidates),
+                estimate=float(believe[dst]),
+                outstanding=outstanding[dst],
+                candidates=len(
+                    destinations.peers_of(client) if candidates is None else candidates
+                ),
                 suspected=len(suspected),
             )
-        if self.policy.uses_load_signal:
-            error = abs(estimates[dst] - self.outstanding[dst])
-            self.stats.signal_error_sum += error
-            self.stats.signal_error_count += 1
+        stats = self.stats
+        if policy.uses_load_signal:
+            error = abs(float(believe[dst]) - outstanding[dst])
+            stats.signal_error_sum += error
+            stats.signal_error_count += 1
             if self.staleness_hist is not None:
                 self.staleness_hist.record(error)
-        self.outstanding[dst] += 1
-        self.stats.routed[dst] += 1
-        self.stats.decisions += 1
+        outstanding[dst] += 1
+        stats.routed[dst] += 1
+        stats.decisions += 1
         if self.decision_counters is not None:
             self.decision_counters[dst].inc()
         return dst

@@ -34,7 +34,8 @@ reproduced, not papered over.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, List
+import math
+from typing import TYPE_CHECKING, List, Sequence
 
 __all__ = [
     "LoadSignal",
@@ -69,6 +70,10 @@ class LoadSignal(abc.ABC):
         """The client's current belief about ``server``'s load."""
         return self.estimates[client][server]
 
+    def view(self, client: int) -> Sequence[float]:
+        """The client's beliefs as a node-indexed row (read-only)."""
+        return self.estimates[client]
+
     # -- event hooks (no-ops by default) -----------------------------------
 
     def on_reply(self, client: int, server: int, reported_load: float) -> None:
@@ -85,6 +90,9 @@ class InstantSignal(LoadSignal):
 
     def estimate(self, client: int, server: int) -> float:
         return float(self.router.outstanding[server])
+
+    def view(self, client: int) -> Sequence[float]:
+        return self.router.outstanding
 
 
 class PiggybackSignal(LoadSignal):
@@ -112,8 +120,10 @@ class BroadcastSignal(LoadSignal):
 
     def __init__(self, period_ns: float) -> None:
         super().__init__()
-        if period_ns <= 0:
-            raise ValueError(f"period_ns must be positive, got {period_ns!r}")
+        if not (math.isfinite(period_ns) and period_ns > 0):
+            raise ValueError(
+                f"period_ns must be positive and finite, got {period_ns!r}"
+            )
         self.period_ns = period_ns
         self.label = f"broadcast/{period_ns:g}ns"
 

@@ -401,25 +401,6 @@ class TestFastDeterminism:
             != full.points[1].achieved_throughput
         )
 
-    def test_inlined_jsq_matches_policy_object_path(self, monkeypatch):
-        """The bisect-based JSQ(d) loop must replay PowerOfD.choose's
-        exact variate sequence; defeating the isinstance gate forces the
-        generic path, and the results must be bit-identical."""
-        kwargs = dict(
-            num_nodes=4, policy="jsq2", signal="piggyback",
-            per_node_mrps=24.0, requests_per_node=600, seed=5,
-        )
-        inlined = simulate_rack_fast(**kwargs)
-
-        class _NeverMatches:
-            pass
-
-        monkeypatch.setattr(fastcluster, "PowerOfD", _NeverMatches)
-        generic = simulate_rack_fast(**kwargs)
-        assert inlined.aggregate.mean == generic.aggregate.mean
-        assert inlined.p99_ns == generic.p99_ns
-        assert inlined.per_node_completed == generic.per_node_completed
-
 
 class TestDesFastEquivalence:
     """Tolerance bands from EXPERIMENTS.md ("Engine tiers"): the fast

@@ -1,5 +1,7 @@
 """Rack-level two-level scheduling: policies, signals, router, driver."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -80,7 +82,7 @@ class TestPolicies:
         policy = RoundRobinPolicy()
         dests = ZipfDestinations(4)
         rng = np.random.default_rng(0)
-        picks = [policy.choose(1, dests, {}, {}, rng) for _ in range(9)]
+        picks = [policy.choose(1, dests, [0.0] * 4, None, [1.0] * 4, rng) for _ in range(9)]
         assert 1 not in picks
         assert sorted(picks) == [0, 0, 0, 2, 2, 2, 3, 3, 3]
 
@@ -88,19 +90,19 @@ class TestPolicies:
         policy = PowerOfD(3)  # d == peers: candidates are all of them
         dests = ZipfDestinations(4)
         rng = np.random.default_rng(0)
-        estimates = {1: 5.0, 2: 0.0, 3: 9.0}
-        assert policy.choose(0, dests, estimates, {}, rng) == 2
+        believe = [0.0, 5.0, 0.0, 9.0]
+        assert policy.choose(0, dests, believe, None, [1.0] * 4, rng) == 2
 
     def test_sed_prefers_capacity_at_equal_load(self):
         policy = ShortestExpectedDelay()
         dests = ZipfDestinations(3)
         rng = np.random.default_rng(0)
-        estimates = {1: 4.0, 2: 4.0}
-        capacities = {1: 1.0, 2: 2.0}
-        assert policy.choose(0, dests, estimates, capacities, rng) == 2
+        believe = [0.0, 4.0, 4.0]
+        capacities = [1.0, 1.0, 2.0]
+        assert policy.choose(0, dests, believe, None, capacities, rng) == 2
         # Twice the capacity absorbs twice the queue for the same delay.
-        estimates = {1: 2.0, 2: 7.0}
-        assert policy.choose(0, dests, estimates, capacities, rng) == 1
+        believe = [0.0, 2.0, 7.0]
+        assert policy.choose(0, dests, believe, None, capacities, rng) == 1
 
 
 class TestSignals:
@@ -172,6 +174,64 @@ class TestRackRouter:
         fractions = router.stats.routed_fractions()
         assert sum(fractions) == pytest.approx(1.0)
         assert fractions[0] == 0.0  # never routes to itself
+
+
+class TestEagerValidation:
+    """Invalid rack configs raise at construction, not mid-run or never."""
+
+    @pytest.mark.parametrize("period", [float("inf"), float("nan")])
+    def test_broadcast_period_must_be_finite(self, period):
+        with pytest.raises(ValueError, match="period_ns"):
+            BroadcastSignal(period)
+        with pytest.raises(ValueError, match="period_ns"):
+            make_signal(f"broadcast:{period}")
+
+    @pytest.mark.parametrize("d", [2.5, True, 2.0])
+    def test_jsq_d_must_be_an_integer(self, d):
+        with pytest.raises(ValueError, match="d must be an integer"):
+            PowerOfD(d)
+
+    @pytest.mark.parametrize("name", ["suspect_after_ns", "heartbeat_period_ns"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_detector_timing_must_be_finite(self, name, value):
+        kwargs = {"suspect_after_ns": 5_000.0, name: value}
+        with pytest.raises(ValueError, match=name):
+            RackRouter("jsq2", "piggyback", **kwargs)
+
+    def test_nan_skew_rejected_before_bind(self):
+        with pytest.raises(ValueError, match="skew"):
+            RackRouter("jsq2", skew=float("nan"))
+
+
+class TestRoutingBudget:
+    @pytest.mark.skipif(
+        not (3, 10) <= sys.version_info[:2] <= (3, 12),
+        reason="call counts measured on CPython 3.10-3.12",
+    )
+    @pytest.mark.parametrize(
+        "policy, signal, budget", [("jsq2", "piggyback", 80), ("random", "fresh", 70)]
+    )
+    def test_python_calls_per_rpc(self, policy, signal, budget):
+        # A routing decision is the router, one signal view and one
+        # policy call over node-indexed lists: ~68 (jsq2/piggyback) and
+        # ~63 (random/fresh) Python calls per RPC in all. Building a
+        # per-decision estimates dict through one signal call per peer
+        # read ~100 and ~85.
+        router = RackRouter(policy, signal)
+        cluster = Cluster(num_nodes=16, seed=0, router=router)
+        calls = [0]
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls[0] += 1
+
+        sys.setprofile(profile)
+        try:
+            result = cluster.run(per_node_mrps=20.0, requests_per_node=300)
+        finally:
+            sys.setprofile(None)
+        assert result.completed == 16 * 300
+        assert calls[0] / result.completed <= budget
 
 
 class TestHeterogeneousCluster:
