@@ -63,6 +63,23 @@ def test_rack(benchmark, profile, emit):
     assert advantages == sorted(advantages, reverse=True)
 
 
+def test_faults(benchmark, profile, emit):
+    from repro.experiments import run_faults
+
+    result = run_once(benchmark, run_faults, profile=profile, seed=0)
+    emit(result)
+    # No crashes: every offered RPC completes (drops only exist in the
+    # storm and hedging rows).
+    assert result.data["crash_ladder"]["0"]["goodput_fraction"] == 1.0
+    # A bounded exponential-backoff budget amplifies server work less
+    # than unbounded zero-backoff retries.
+    storm = result.data["storm"]
+    assert (
+        storm["bounded"]["work_amplification"]
+        < storm["unbounded"]["work_amplification"]
+    )
+
+
 def test_validate(benchmark, profile, emit):
     from repro.experiments import run_validate
 

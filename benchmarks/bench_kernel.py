@@ -105,21 +105,31 @@ ROUTE_DECISIONS = 20_000
 
 
 @pytest.mark.parametrize(
-    "policy, signal", [("random", "fresh"), ("jsq2", "piggyback"), ("sed", "broadcast:2000")]
+    "policy, signal, suspected",
+    [
+        ("random", "fresh", ()),
+        ("jsq2", "piggyback", ()),
+        ("sed", "broadcast:2000", ()),
+        ("jsq2", "piggyback", (3,)),
+    ],
+    ids=["random-fresh", "jsq2-piggyback", "sed-broadcast:2000", "jsq2-piggyback-suspect3"],
 )
-def test_rack_route_decision(benchmark, policy, signal):
+def test_rack_route_decision(benchmark, policy, signal, suspected):
     """Host cost of one ``RackRouter.choose`` on a bound 16-node rack.
 
     Each round restores the same outstanding counts and client views
     (small integers, so JSQ/SED ties occur) and routes
     ``ROUTE_DECISIONS`` RPCs round-robin over the clients; the median
-    round's µs per decision is ``extra_info["us_per_decision"]``.
+    round's µs per decision is ``extra_info["us_per_decision"]``. With
+    ``suspected``, those nodes stay suspected for the whole round: every
+    decision takes the restricted-candidate path of one suspicion epoch.
     """
     from repro.cluster import Cluster
     from repro.rack import RackRouter
 
     router = RackRouter(policy, signal)
     Cluster(num_nodes=16, seed=0, router=router)
+    router.suspected.update(suspected)
     start = np.random.default_rng(1)
     outstanding = start.integers(0, 4, 16).tolist()
     views = start.integers(0, 4, (16, 16)).astype(float).tolist()
@@ -135,6 +145,7 @@ def test_rack_route_decision(benchmark, policy, signal):
 
     total = benchmark.pedantic(run, rounds=5, iterations=1)
     assert total == sum(outstanding) + ROUTE_DECISIONS
+    assert all(router.stats.routed[node] == 0 for node in suspected)
     if benchmark.stats is not None:  # None under --benchmark-disable
         benchmark.extra_info["us_per_decision"] = (
             benchmark.stats.stats.median / ROUTE_DECISIONS * 1e6

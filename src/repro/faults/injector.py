@@ -24,7 +24,7 @@ worker count, and a trivial plan draws nothing at all.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from .plan import (
     FabricDegradation,
@@ -72,6 +72,11 @@ class FaultInjector:
             )
             else None
         )
+        #: ``(drop, dup, spike, spike_ns)`` in force now, or None when
+        #: no fabric fault can happen; refreshed when a window opens or
+        #: closes, so :meth:`transmit` reads it instead of recomputing.
+        self._fabric: Optional[Tuple[float, float, float, float]] = None
+        self._refresh_fabric()
 
     # -- scheduling ---------------------------------------------------------
 
@@ -151,13 +156,23 @@ class FaultInjector:
         if self.tracer is not None:
             self.tracer.record_fault("slowdown_end", node, self.cluster.env.now)
 
+    def _refresh_fabric(self) -> None:
+        if self._fabric_rng is None or (
+            not self._active_degradations and not self.plan.has_fabric_noise
+        ):
+            self._fabric = None
+        else:
+            self._fabric = self.plan.fabric_probs(self._active_degradations)
+
     def _degrade_start(self, window: FabricDegradation) -> None:
         self._active_degradations.append(window)
+        self._refresh_fabric()
         if self.tracer is not None:
             self.tracer.record_fault("degradation", -1, self.cluster.env.now)
 
     def _degrade_end(self, window: FabricDegradation) -> None:
         self._active_degradations.remove(window)
+        self._refresh_fabric()
         if self.tracer is not None:
             self.tracer.record_fault(
                 "degradation_end", -1, self.cluster.env.now
@@ -210,14 +225,11 @@ class FaultInjector:
         when fabric faults are configured, so fault-free plans leave
         every other stream's sequence untouched.
         """
-        if self._fabric_rng is None or (
-            not self._active_degradations and not self.plan.has_fabric_noise
-        ):
+        fabric = self._fabric
+        if fabric is None:
             self.cluster.env.schedule_call(delay, fn, *args)
             return "ok"
-        drop, dup, spike, spike_ns = self.plan.fabric_probs(
-            self._active_degradations
-        )
+        drop, dup, spike, spike_ns = fabric
         rng = self._fabric_rng
         roll = rng.random()
         if roll < drop:

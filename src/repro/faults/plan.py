@@ -22,6 +22,8 @@ sweeps differing only in fault configuration never share a cache entry.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
@@ -36,6 +38,30 @@ __all__ = [
     "RetryConfig",
     "SignalBlackout",
 ]
+
+
+def _check_count(name: str, value: int) -> None:
+    """Raise unless ``value`` is an integer >= 0.
+
+    A float or bool would pass ``<`` comparisons and act as something
+    else: ``retries_used < 0.5`` allows one retry, node 2.5 fails deep
+    in the injector.
+    """
+    if not (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
+    ):
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+
+
+def _check_finite(name: str, value: float, positive: bool = False) -> None:
+    """Raise unless ``value`` is finite and >= 0 (> 0 when ``positive``).
+
+    NaN slips past every ``<`` check, and inf schedules events at
+    t = inf (or, as a rate, without end); both are rejected outright.
+    """
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        bound = "positive" if positive else ">= 0"
+        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -54,12 +80,11 @@ class NodeCrash:
     outage_ns: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.node < 0:
-            raise ValueError(f"node must be >= 0, got {self.node!r}")
-        if self.at_ns < 0:
-            raise ValueError(f"at_ns must be >= 0, got {self.at_ns!r}")
-        if self.outage_ns is not None and self.outage_ns <= 0:
-            raise ValueError(f"outage_ns must be positive, got {self.outage_ns!r}")
+        _check_count("node", self.node)
+        _check_finite("at_ns", self.at_ns)
+        if self.outage_ns is not None:
+            # None is "never recovers"; inf would recover at t = inf.
+            _check_finite("outage_ns", self.outage_ns, positive=True)
 
 
 @dataclass(frozen=True)
@@ -78,12 +103,9 @@ class NodeSlowdown:
     factor: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.node < 0:
-            raise ValueError(f"node must be >= 0, got {self.node!r}")
-        if self.at_ns < 0:
-            raise ValueError(f"at_ns must be >= 0, got {self.at_ns!r}")
-        if self.duration_ns <= 0:
-            raise ValueError(f"duration_ns must be positive, got {self.duration_ns!r}")
+        _check_count("node", self.node)
+        _check_finite("at_ns", self.at_ns)
+        _check_finite("duration_ns", self.duration_ns, positive=True)
         if not 0.0 < self.factor <= 1.0:
             raise ValueError(f"factor must be in (0, 1], got {self.factor!r}")
 
@@ -107,16 +129,13 @@ class FabricDegradation:
     spike_ns: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.at_ns < 0:
-            raise ValueError(f"at_ns must be >= 0, got {self.at_ns!r}")
-        if self.duration_ns <= 0:
-            raise ValueError(f"duration_ns must be positive, got {self.duration_ns!r}")
+        _check_finite("at_ns", self.at_ns)
+        _check_finite("duration_ns", self.duration_ns, positive=True)
         for name in ("drop_prob", "dup_prob", "spike_prob"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-        if self.spike_ns < 0:
-            raise ValueError(f"spike_ns must be >= 0, got {self.spike_ns!r}")
+        _check_finite("spike_ns", self.spike_ns)
 
 
 @dataclass(frozen=True)
@@ -132,10 +151,8 @@ class SignalBlackout:
     duration_ns: float
 
     def __post_init__(self) -> None:
-        if self.at_ns < 0:
-            raise ValueError(f"at_ns must be >= 0, got {self.at_ns!r}")
-        if self.duration_ns <= 0:
-            raise ValueError(f"duration_ns must be positive, got {self.duration_ns!r}")
+        _check_finite("at_ns", self.at_ns)
+        _check_finite("duration_ns", self.duration_ns, positive=True)
 
 
 FaultEvent = Union[NodeCrash, NodeSlowdown, FabricDegradation, SignalBlackout]
@@ -172,12 +189,11 @@ class FaultPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "events", tuple(self.events))
-        for name in ("crash_rate_hz", "slowdown_rate_hz"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        for name in ("mean_outage_ns", "mean_slowdown_ns", "spike_ns"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for name in (
+            "crash_rate_hz", "slowdown_rate_hz",
+            "mean_outage_ns", "mean_slowdown_ns", "spike_ns",
+        ):
+            _check_finite(name, getattr(self, name))
         if not 0.0 < self.slowdown_factor <= 1.0:
             raise ValueError(
                 f"slowdown_factor must be in (0, 1], got {self.slowdown_factor!r}"
@@ -294,20 +310,19 @@ class RetryConfig:
     hedge_ns: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.timeout_ns <= 0:
-            raise ValueError(f"timeout_ns must be positive, got {self.timeout_ns!r}")
-        if self.max_retries is not None and self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries!r}")
-        if self.backoff_ns < 0:
-            raise ValueError(f"backoff_ns must be >= 0, got {self.backoff_ns!r}")
-        if self.backoff_factor < 1.0:
+        _check_finite("timeout_ns", self.timeout_ns, positive=True)
+        if self.max_retries is not None:
+            _check_count("max_retries", self.max_retries)
+        _check_finite("backoff_ns", self.backoff_ns)
+        if not (math.isfinite(self.backoff_factor) and self.backoff_factor >= 1.0):
             raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor!r}"
+                f"backoff_factor must be finite and >= 1, got {self.backoff_factor!r}"
             )
-        if self.max_backoff_ns < self.backoff_ns:
+        # inf is a legitimate "no cap"; NaN would fail every comparison.
+        if math.isnan(self.max_backoff_ns) or self.max_backoff_ns < self.backoff_ns:
             raise ValueError("max_backoff_ns must be >= backoff_ns")
-        if self.hedge_ns is not None and self.hedge_ns <= 0:
-            raise ValueError(f"hedge_ns must be positive, got {self.hedge_ns!r}")
+        if self.hedge_ns is not None:
+            _check_finite("hedge_ns", self.hedge_ns, positive=True)
 
     @property
     def retry_budget(self) -> float:

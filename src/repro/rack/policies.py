@@ -29,7 +29,7 @@ import abc
 import math
 import numbers
 from bisect import bisect_right
-from typing import Collection, Dict, List, Optional, Sequence
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,6 +62,9 @@ class ZipfDestinations:
     itself and renormalizes over its peers.
     """
 
+    #: Restricted draw tables kept before the memo is cleared.
+    MEMO_LIMIT = 1024
+
     def __init__(self, num_nodes: int, skew: float = 0.0) -> None:
         if num_nodes < 2:
             raise ValueError(f"need at least 2 nodes, got {num_nodes!r}")
@@ -85,6 +88,8 @@ class ZipfDestinations:
             self._weights.append(peer_weights)
             self._cumulative.append(cumulative)
             self._cumulative_list.append(cumulative.tolist())
+        #: ``(client, allowed) -> (nodes, cumulative)``; see :meth:`_restricted`.
+        self._restricted_memo: Dict[tuple, Tuple[List[int], List[float]]] = {}
 
     def peers_of(self, client: int) -> List[int]:
         """``client``'s peers in id order (shared: do not mutate)."""
@@ -118,13 +123,9 @@ class ZipfDestinations:
         if allowed is None:
             index = bisect_right(self._cumulative_list[client], rng.random())
             return peers[min(index, len(peers) - 1)]
-        keep = [i for i, node in enumerate(peers) if node in allowed]
-        if not keep:
-            keep = list(range(len(peers)))
-        weights = self._weights[client][keep]
-        cumulative = np.cumsum(weights / weights.sum())
-        index = int(np.searchsorted(cumulative, rng.random(), side="right"))
-        return peers[keep[min(index, len(cumulative) - 1)]]
+        nodes, cumulative = self._restricted(client, allowed)
+        index = bisect_right(cumulative, rng.random())
+        return nodes[min(index, len(nodes) - 1)]
 
     def sample_distinct(
         self,
@@ -136,29 +137,60 @@ class ZipfDestinations:
         """Draw ``count`` distinct destinations by popularity.
 
         Rejection-samples (cheap for rack-sized fan-outs); falls back to
-        the full candidate list when ``count`` exhausts it.
+        the full candidate list when ``count`` exhausts it. This loop is
+        every JSQ(d) decision on both tiers.
         """
-        peers = self._peers[client]
-        pool = peers if allowed is None else [n for n in peers if n in allowed] or peers
-        if count >= len(pool):
-            return list(pool)
-        chosen: List[int] = []
         if allowed is None:
-            # sample()'s unrestricted draw, inlined: this loop is every
-            # JSQ(d) decision on both tiers.
+            nodes = self._peers[client]
             cumulative = self._cumulative_list[client]
-            last = len(peers) - 1
-            while len(chosen) < count:
-                index = bisect_right(cumulative, rng.random())
-                candidate = peers[index if index < last else last]
-                if candidate not in chosen:
-                    chosen.append(candidate)
-            return chosen
+        else:
+            nodes, cumulative = self._restricted(client, allowed)
+        if count >= len(nodes):
+            return list(nodes)
+        chosen: List[int] = []
+        last = len(nodes) - 1
         while len(chosen) < count:
-            candidate = self.sample(client, rng, allowed)
+            index = bisect_right(cumulative, rng.random())
+            candidate = nodes[index if index < last else last]
             if candidate not in chosen:
                 chosen.append(candidate)
         return chosen
+
+    def _restricted(
+        self, client: int, allowed: Collection[int]
+    ) -> Tuple[List[int], List[float]]:
+        """``(nodes, cumulative)`` of ``client``'s draw over ``allowed``.
+
+        ``nodes`` are the allowed peers in ``peers_of`` order (all peers
+        when none is allowed) and ``cumulative`` their renormalized
+        popularity, computed by the same numpy expression the per-draw
+        code used, so ``bisect_right`` lands where ``searchsorted(...,
+        side="right")`` did. Memoized per ``(client, allowed)``: the
+        router hands over one tuple per suspicion epoch, so only the
+        first draw of an epoch pays for the table.
+        """
+        memo = self._restricted_memo
+        try:
+            key = (client, allowed)
+            entry = memo.get(key)
+        except TypeError:  # an unhashable collection (a list, a set)
+            key = (client, tuple(allowed))
+            entry = memo.get(key)
+        if entry is None:
+            peers = self._peers[client]
+            keep = [i for i, node in enumerate(peers) if node in allowed]
+            if not keep:
+                keep = list(range(len(peers)))
+            weights = self._weights[client][keep]
+            entry = (
+                [peers[i] for i in keep],
+                np.cumsum(weights / weights.sum()).tolist(),
+            )
+            if len(memo) >= self.MEMO_LIMIT:
+                # Many crash/recover epochs: start over rather than grow.
+                memo.clear()
+            memo[key] = entry
+        return entry
 
 
 class RackPolicy(abc.ABC):
@@ -193,6 +225,9 @@ class RackPolicy(abc.ABC):
         within it.
         """
 
+    def reset(self) -> None:
+        """Forget per-run state (the router calls this when it binds)."""
+
 
 def _pick_tied(tied: List[int], rng: np.random.Generator) -> int:
     """One of equally-scored nodes; a draw only when there is a tie."""
@@ -221,6 +256,9 @@ class RoundRobinPolicy(RackPolicy):
 
     def __init__(self) -> None:
         self._cursor: Dict[int, int] = {}
+
+    def reset(self) -> None:
+        self._cursor = {}
 
     def choose(self, client, destinations, believe, candidates, capacities, rng):
         peers = destinations.peers_of(client)

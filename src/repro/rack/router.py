@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -112,6 +112,10 @@ class RackRouter:
         self.outstanding: List[int] = []
         #: Servers the failure detector currently believes are dead.
         self.suspected: set = set()
+        #: Per-client candidate tuples of the current suspicion epoch
+        #: (the interval between changes to ``suspected``); see
+        #: :meth:`choose`. Whatever changes ``suspected`` clears it.
+        self._candidates: Dict[int, Optional[Tuple[int, ...]]] = {}
         self.last_heard: List[float] = []
         self.destinations: Optional[ZipfDestinations] = None
         self.capacities: List[float] = []
@@ -133,12 +137,25 @@ class RackRouter:
     # -- wiring -----------------------------------------------------------
 
     def bind(self, cluster: "Cluster") -> None:
-        """Attach to ``cluster`` (called by the cluster constructor)."""
+        """Attach to ``cluster`` (called by the cluster constructor).
+
+        Everything per-run starts over, so a router reused on a second
+        cluster routes as a fresh one would. The stats object is
+        replaced, not cleared: an earlier run's result still holds it.
+        """
         self.cluster = cluster
         self.num_nodes = cluster.num_nodes
         self.outstanding = [0] * self.num_nodes
-        self.stats.routed = [0] * self.num_nodes
+        labels = self.stats
+        self.stats = RouterStats(
+            policy=labels.policy,
+            signal=labels.signal,
+            skew=labels.skew,
+            routed=[0] * self.num_nodes,
+        )
+        self.policy.reset()
         self.suspected = set()
+        self._candidates = {}
         self.last_heard = [0.0] * self.num_nodes
         self.destinations = ZipfDestinations(self.num_nodes, self.skew)
         self.capacities = [
@@ -185,6 +202,7 @@ class RackRouter:
         self.last_heard[server] = self.cluster.env.now
         if server in self.suspected:
             self.suspected.discard(server)
+            self._candidates.clear()
             self.stats.readmissions += 1
             self.cluster.injector.stats.readmissions += 1
 
@@ -200,6 +218,7 @@ class RackRouter:
             if now - self.last_heard[server] <= threshold:
                 continue
             self.suspected.add(server)
+            self._candidates.clear()
             self.stats.suspicions += 1
             fault_stats = injector.stats
             fault_stats.suspicions += 1
@@ -221,16 +240,24 @@ class RackRouter:
         The candidates are all of the client's peers minus
         currently-suspected servers, in ``peers_of`` order; the policy
         gets None for "every peer" — nothing excluded, or everything
-        (routing somewhere beats routing nowhere).
+        (routing somewhere beats routing nowhere). A client's tuple is
+        built on its first decision of a suspicion epoch and reused
+        until ``suspected`` changes; being hashable, it also keys
+        :class:`ZipfDestinations`' memo of restricted draw tables.
         """
         destinations = self.destinations
         suspected = self.suspected
         candidates = None
         if suspected:
-            peers = destinations.peers_of(client)
-            candidates = [node for node in peers if node not in suspected]
-            if not candidates or len(candidates) == len(peers):
-                candidates = None
+            cache = self._candidates
+            if client in cache:
+                candidates = cache[client]
+            else:
+                peers = destinations.peers_of(client)
+                candidates = tuple(node for node in peers if node not in suspected)
+                if not candidates or len(candidates) == len(peers):
+                    candidates = None
+                cache[client] = candidates
         believe = self.signal.view(client)
         policy = self.policy
         dst = policy.choose(

@@ -17,6 +17,7 @@ The contract under test, in rough order of importance:
 import math
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from repro.cluster import Cluster
@@ -99,6 +100,100 @@ class TestFaultPlanValidation:
             RetryConfig(backoff_ns=500.0, max_backoff_ns=100.0)
         with pytest.raises(ValueError):
             RetryConfig(hedge_ns=0.0)
+
+
+NAN = math.nan
+INF = math.inf
+
+
+class TestEagerValidation:
+    """Non-finite times and non-integer counts raise at construction.
+
+    Each config below was once accepted and then failed late (the
+    kernel's "delay must be a number >= 0"), ran to t = inf, or ran as
+    something else (0.5 retries as 1, a NaN crash rate as no crashes).
+    """
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(timeout_ns=INF),
+            dict(timeout_ns=NAN),
+            dict(backoff_ns=NAN),
+            dict(backoff_ns=INF, max_backoff_ns=INF),
+            dict(backoff_factor=INF),
+            dict(backoff_factor=NAN),
+            dict(max_backoff_ns=NAN),
+            dict(hedge_ns=NAN),
+            dict(hedge_ns=INF),
+            dict(max_retries=0.5),
+            dict(max_retries=True),
+            dict(max_retries=2.0),
+        ],
+        ids=repr,
+    )
+    def test_retry_config_rejects(self, kwargs):
+        with pytest.raises(ValueError):
+            RetryConfig(**kwargs)
+
+    def test_retry_config_still_accepts(self):
+        assert RetryConfig(max_backoff_ns=INF).backoff_for(30) == 2_000.0 * 2.0**30
+        assert RetryConfig(max_retries=np.int64(2)).retry_budget == 2.0
+        assert RetryConfig(max_retries=None, backoff_ns=0.0).retry_budget == INF
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: NodeCrash(node=0, at_ns=10.0, outage_ns=INF),
+            lambda: NodeCrash(node=0, at_ns=10.0, outage_ns=NAN),
+            lambda: NodeCrash(node=2.5, at_ns=10.0),
+            lambda: NodeCrash(node=True, at_ns=10.0),
+            lambda: NodeSlowdown(node=1.5, at_ns=0.0, duration_ns=10.0),
+        ],
+        ids=["crash-outage-inf", "crash-outage-nan", "crash-node-float",
+             "crash-node-bool", "slowdown-node-float"],
+    )
+    def test_event_node_and_outage(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    EVENT_TIMES = {
+        "crash": lambda at, dur: NodeCrash(node=0, at_ns=at, outage_ns=dur),
+        "slowdown": lambda at, dur: NodeSlowdown(node=0, at_ns=at, duration_ns=dur),
+        "degradation": lambda at, dur: FabricDegradation(
+            at_ns=at, duration_ns=dur, drop_prob=0.1
+        ),
+        "blackout": lambda at, dur: SignalBlackout(at_ns=at, duration_ns=dur),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(EVENT_TIMES))
+    @pytest.mark.parametrize("field", ["at_ns", "duration_ns"])
+    @pytest.mark.parametrize("value", [NAN, INF], ids=["nan", "inf"])
+    def test_event_times_must_be_finite(self, kind, field, value):
+        times = {"at_ns": 10.0, "duration_ns": 100.0, field: value}
+        with pytest.raises(ValueError, match="finite"):
+            self.EVENT_TIMES[kind](times["at_ns"], times["duration_ns"])
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(crash_rate_hz=NAN),
+            dict(crash_rate_hz=INF),
+            dict(slowdown_rate_hz=INF),
+            dict(slowdown_rate_hz=NAN),
+            dict(mean_outage_ns=NAN),
+            dict(mean_slowdown_ns=NAN),
+            dict(spike_ns=NAN),
+        ],
+        ids=repr,
+    )
+    def test_plan_rejects(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            FaultPlan(**kwargs)
+
+    def test_degradation_spike_must_be_finite(self):
+        with pytest.raises(ValueError, match="spike_ns"):
+            FabricDegradation(at_ns=0.0, duration_ns=10.0, spike_prob=0.5, spike_ns=NAN)
 
 
 class TestFaultPlanMaterialize:
@@ -242,6 +337,31 @@ class TestFailureDetector:
         # period bounds how far past it the detector can lag.
         assert 4_000.0 <= stats.mean_detection_ns <= 12_000.0
         assert router.stats.suspicions == stats.suspicions
+
+    def test_routing_follows_every_suspicion_change(self):
+        # The router keeps each client's candidates for one suspicion
+        # epoch; a new suspicion and a readmission each start another.
+        router = RackRouter("random", "fresh", suspect_after_ns=1_000.0)
+        Cluster(num_nodes=4, seed=0, router=router, faults=FaultPlan(drop_prob=0.01))
+        rng = np.random.default_rng(0)
+
+        def suspect(server):
+            router.last_heard[server] = -2_000.0  # silent past the threshold
+            router._detect()
+
+        def destinations():
+            return {router.choose(0, rng) for _ in range(200)}
+
+        suspect(2)
+        assert destinations() == {1, 3}
+        suspect(1)
+        assert router.suspected == {1, 2}
+        assert destinations() == {3}
+        router._heartbeat_received(2)
+        assert destinations() == {2, 3}
+        router._heartbeat_received(1)
+        assert destinations() == {1, 2, 3}
+        assert router.stats.suspicions == router.stats.readmissions == 2
 
     def test_signal_blackout_causes_false_suspicion(self):
         plan = FaultPlan(

@@ -1,5 +1,6 @@
 """Rack-level two-level scheduling: policies, signals, router, driver."""
 
+import copy
 import sys
 
 import numpy as np
@@ -11,6 +12,7 @@ from repro.experiments.rack import (
     _run_rack_task,
     _scenarios,
 )
+from repro.faults import FaultPlan, NodeCrash, RetryConfig
 from repro.rack import (
     BroadcastSignal,
     InstantSignal,
@@ -175,6 +177,29 @@ class TestRackRouter:
         assert sum(fractions) == pytest.approx(1.0)
         assert fractions[0] == 0.0  # never routes to itself
 
+    @pytest.mark.parametrize("policy", ["rr", "jsq2"])
+    def test_reused_router_routes_like_a_fresh_one(self, policy):
+        # bind starts every per-run state over (stats, rr cursor) and
+        # leaves the earlier run's stats object alone.
+        def run(router):
+            cluster = Cluster(num_nodes=4, seed=0, router=router)
+            return cluster.run(per_node_mrps=18.0, requests_per_node=200)
+
+        reused = RackRouter(policy, "piggyback")
+        first = run(reused)
+        first_stats = copy.deepcopy(first.router_stats)
+        second = run(reused)
+        fresh_router = RackRouter(policy, "piggyback")
+        fresh = run(fresh_router)
+        for result in (first, second):
+            assert result.aggregate == fresh.aggregate
+            assert result.per_node == fresh.per_node
+            assert result.per_node_completed == fresh.per_node_completed
+        assert reused.stats == fresh_router.stats
+        assert reused.stats.decisions == sum(reused.stats.routed) == 4 * 200
+        assert first.router_stats == first_stats
+        assert first.router_stats is not second.router_stats
+
 
 class TestEagerValidation:
     """Invalid rack configs raise at construction, not mid-run or never."""
@@ -232,6 +257,40 @@ class TestRoutingBudget:
             sys.setprofile(None)
         assert result.completed == 16 * 300
         assert calls[0] / result.completed <= budget
+
+    @pytest.mark.skipif(
+        not (3, 10) <= sys.version_info[:2] <= (3, 12),
+        reason="call counts measured on CPython 3.10-3.12",
+    )
+    def test_python_calls_per_rpc_under_suspicion(self):
+        # A suspected server restricts every decision. The candidate
+        # tuple and the restricted draw table are built once per client
+        # per suspicion epoch: ~82 Python calls per RPC. Rebuilding both
+        # on every decision and draw (a list, then numpy cumsum and
+        # searchsorted) read ~101.
+        router = RackRouter("jsq2", "piggyback", suspect_after_ns=2_000)
+        cluster = Cluster(
+            num_nodes=16,
+            seed=0,
+            router=router,
+            faults=FaultPlan(
+                events=(NodeCrash(3, at_ns=2e3, outage_ns=3e4),), drop_prob=0.01
+            ),
+            retry=RetryConfig(timeout_ns=1e4, max_retries=2, backoff_ns=2e3),
+        )
+        calls = [0]
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls[0] += 1
+
+        sys.setprofile(profile)
+        try:
+            result = cluster.run(per_node_mrps=20.0, requests_per_node=300)
+        finally:
+            sys.setprofile(None)
+        assert router.stats.suspicions >= 1
+        assert calls[0] / result.completed <= 90
 
 
 class TestHeterogeneousCluster:

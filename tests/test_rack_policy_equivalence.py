@@ -7,6 +7,12 @@ random node counts, skews, tie-heavy integer and float load rows,
 restricted candidate sets and heterogeneous capacities, the list-based
 policies must pick the same destination at every decision and leave the
 generator in the same state.
+
+The restricted draws (a candidate set that excludes suspected servers)
+used to rebuild their popularity table with numpy on every call; they
+now memoize one table per ``(client, allowed)``. ``_RefZipf`` keeps the
+per-call numpy bodies, and the memoized draws must match them across
+interleaved suspicion epochs on one sampler.
 """
 
 import numpy as np
@@ -198,4 +204,76 @@ def test_bisect_draws_match_searchsorted(num_nodes, skew, count, seed):
         assert destinations.sample_distinct(client, count, rng) == (
             reference.sample_distinct(client, count, reference_rng)
         )
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@st.composite
+def _restricted_epochs(draw):
+    num_nodes = draw(st.integers(2, 32))
+    every = tuple(range(num_nodes))
+    subsets = st.one_of(
+        st.just(()),
+        st.just(every),
+        st.sets(st.integers(0, num_nodes - 1)).map(lambda nodes: tuple(sorted(nodes))),
+    )
+    epochs = draw(st.lists(subsets, min_size=1, max_size=5))
+    draws = draw(st.lists(
+        st.tuples(
+            st.integers(0, len(epochs) - 1),
+            st.integers(0, num_nodes - 1),
+            st.integers(1, 4),
+            st.booleans(),
+            st.booleans(),
+        ),
+        min_size=1, max_size=30,
+    ))
+    return dict(
+        num_nodes=num_nodes,
+        skew=draw(st.floats(0.0, 2.0)),
+        epochs=epochs,
+        draws=draws,
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_restricted_epochs())
+def test_memoized_restricted_draws_match_numpy(case):
+    # ``allowed`` may be empty (every peer is the fallback), every node,
+    # or any subset, passed as the router's tuple or as a list; epochs
+    # interleave, so memo entries are revisited after other epochs ran.
+    destinations = ZipfDestinations(case["num_nodes"], case["skew"])
+    reference = _RefZipf(case["num_nodes"], case["skew"])
+    rng = np.random.default_rng(case["seed"])
+    reference_rng = np.random.default_rng(case["seed"])
+    for epoch, client, count, distinct, as_list in case["draws"]:
+        allowed = case["epochs"][epoch]
+        if as_list:
+            allowed = list(allowed)
+        if distinct:
+            got = destinations.sample_distinct(client, count, rng, allowed)
+            expected = reference.sample_distinct(client, count, reference_rng, allowed)
+        else:
+            got = destinations.sample(client, rng, allowed)
+            expected = reference.sample(client, reference_rng, allowed)
+        assert got == expected
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_restricted_memo_stays_bounded():
+    # A crash-rate plan opens a new suspicion epoch per crash and per
+    # readmission; the memo must not grow with them.
+    num_nodes = 16
+    destinations = ZipfDestinations(num_nodes, 1.0)
+    reference = _RefZipf(num_nodes, 1.0)
+    rng = np.random.default_rng(0)
+    reference_rng = np.random.default_rng(0)
+    limit = ZipfDestinations.MEMO_LIMIT
+    for epoch in range(3 * limit):
+        allowed = tuple(node for node in range(num_nodes) if (epoch >> node) & 1)
+        client = epoch % num_nodes
+        assert destinations.sample(client, rng, allowed) == (
+            reference.sample(client, reference_rng, allowed)
+        )
+        assert len(destinations._restricted_memo) <= limit
     assert rng.bit_generator.state == reference_rng.bit_generator.state
