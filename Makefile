@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench figures figures-full validate examples trace clean
+.PHONY: install test bench figures figures-full validate examples trace loc clean
 
 install:
 	pip install -e .[dev] || $(PYTHON) setup.py develop
@@ -36,6 +36,16 @@ examples:
 	for script in examples/*.py; do \
 		echo "== $$script =="; \
 		$(PYTHON) $$script || exit 1; \
+	done
+
+# Added/deleted/net lines under src/ and tests/ since BASE (default:
+# main), from git diff --numstat. Informational, not a gate.
+BASE ?= main
+loc:
+	@for dir in src tests; do \
+		git diff --numstat $(BASE) -- $$dir | awk -v dir=$$dir \
+			'$$1 != "-" { add += $$1; del += $$2 } \
+			END { printf "%-6s +%d -%d net %+d\n", dir "/", add, del, add - del }'; \
 	done
 
 clean:

@@ -8,8 +8,6 @@ from .buffers import (
     ReceiveBuffer,
     ReceiveSlot,
     SEND_SLOT_BYTES,
-    SendBuffer,
-    SendSlot,
 )
 from .chip import Chip, ChipStats
 from .config import ChipConfig, DEFAULT_CONFIG, cycles_to_ns
@@ -18,9 +16,9 @@ from .frontend import NIFrontend
 from .interference import InterferenceModel, PeriodicStragglers, RandomStalls
 from .mesh import Mesh
 from .onesided import OneSidedCompletion, OneSidedEngine
-from .packets import OneSidedWrite, Replenish, SendMessage
-from .protocol import SendFactory, make_replenish, make_send
-from .qp import CompletionQueueEntry, QueuePair, WorkQueueEntry
+from .packets import OneSidedWrite, SendMessage
+from .protocol import SendFactory, make_send
+from .qp import QueuePair
 
 __all__ = [
     "Chip",
@@ -39,18 +37,12 @@ __all__ = [
     "RandomStalls",
     "NIBackend",
     "QueuePair",
-    "WorkQueueEntry",
-    "CompletionQueueEntry",
     "SendMessage",
-    "Replenish",
     "OneSidedWrite",
     "SendFactory",
     "make_send",
-    "make_replenish",
     "MessagingDomain",
-    "SendBuffer",
     "ReceiveBuffer",
-    "SendSlot",
     "ReceiveSlot",
     "SEND_SLOT_BYTES",
     "DynamicSlotAllocator",

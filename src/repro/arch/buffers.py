@@ -7,10 +7,12 @@ counter block). The paper's footprint formula:
 
     32·N·S + (max_msg_size + 64)·N·S  bytes
 
-This module implements the slot state machines (valid bits, packet
-counters) and the footprint math. The architectural simulator tracks
-slot occupancy through these classes so flow control (senders blocking
-on exhausted slots) and buffer sizing experiments are faithful.
+This module implements the receive buffer (per-slot packet counters
+and occupancy) and the footprint math for both buffers. The send side
+is plain free-slot lists held by the senders (the traffic generator and
+each cluster node), credited back through
+``Chip.on_slot_replenished``: senders block on an exhausted list, so
+flow control and buffer-sizing experiments stay faithful.
 """
 
 from __future__ import annotations
@@ -20,9 +22,7 @@ from typing import List, Optional
 
 __all__ = [
     "MessagingDomain",
-    "SendSlot",
     "ReceiveSlot",
-    "SendBuffer",
     "ReceiveBuffer",
     "DynamicSlotAllocator",
     "SEND_SLOT_BYTES",
@@ -88,32 +88,6 @@ class MessagingDomain:
         return node_index * self.slots_per_node + slot
 
 
-class SendSlot:
-    """Sender-side bookkeeping for one outstanding message (§4.2)."""
-
-    __slots__ = ("valid", "payload_ptr", "size_bytes")
-
-    def __init__(self) -> None:
-        self.valid = False
-        self.payload_ptr: Optional[int] = None
-        self.size_bytes = 0
-
-    def occupy(self, payload_ptr: int, size_bytes: int) -> None:
-        if self.valid:
-            raise RuntimeError("send slot already in use")
-        self.valid = True
-        self.payload_ptr = payload_ptr
-        self.size_bytes = size_bytes
-
-    def invalidate(self) -> None:
-        """The replenish handler's action: reset the valid bit."""
-        if not self.valid:
-            raise RuntimeError("replenish for a free send slot")
-        self.valid = False
-        self.payload_ptr = None
-        self.size_bytes = 0
-
-
 class ReceiveSlot:
     """Receiver-side payload slot with its packet counter (§4.2)."""
 
@@ -156,65 +130,25 @@ class ReceiveSlot:
         self.expected_packets = 0
 
 
-class _SlotBuffer:
-    """Common slot-array behaviour with an occupancy high-water mark."""
+class ReceiveBuffer:
+    """A node's N×S receive slots, indexed by (source node, slot)."""
 
     __slots__ = ("domain", "slots", "_occupied", "max_occupied", "occupancy_hist")
 
-    def __init__(self, domain: MessagingDomain, slot_factory) -> None:
+    def __init__(self, domain: MessagingDomain) -> None:
         self.domain = domain
-        self.slots: List = [slot_factory() for _ in range(domain.total_slots)]
+        self.slots: List[ReceiveSlot] = [
+            ReceiveSlot() for _ in range(domain.total_slots)
+        ]
         self._occupied = 0
         self.max_occupied = 0
         #: Telemetry: occupancy histogram, installed by
         #: :func:`repro.telemetry.instrument_chip` (None = disabled).
         self.occupancy_hist = None
 
-    def _note_occupy(self) -> None:
-        self._occupied += 1
-        if self._occupied > self.max_occupied:
-            self.max_occupied = self._occupied
-        hist = self.occupancy_hist
-        if hist is not None:
-            hist.record(self._occupied)
-
-    def _note_release(self) -> None:
-        self._occupied -= 1
-
     @property
     def occupied(self) -> int:
         return self._occupied
-
-
-class SendBuffer(_SlotBuffer):
-    """A node's N×S send slots, indexed by (destination node, slot)."""
-
-    __slots__ = ()
-
-    def __init__(self, domain: MessagingDomain) -> None:
-        super().__init__(domain, SendSlot)
-
-    def occupy(self, node_index: int, slot: int, payload_ptr: int, size_bytes: int) -> None:
-        index = self.domain.receive_slot_index(node_index, slot)
-        self.slots[index].occupy(payload_ptr, size_bytes)
-        self._note_occupy()
-
-    def replenish(self, node_index: int, slot: int) -> None:
-        index = self.domain.receive_slot_index(node_index, slot)
-        self.slots[index].invalidate()
-        self._note_release()
-
-    def is_valid(self, node_index: int, slot: int) -> bool:
-        return self.slots[self.domain.receive_slot_index(node_index, slot)].valid
-
-
-class ReceiveBuffer(_SlotBuffer):
-    """A node's N×S receive slots, indexed by (source node, slot)."""
-
-    __slots__ = ()
-
-    def __init__(self, domain: MessagingDomain) -> None:
-        super().__init__(domain, ReceiveSlot)
 
     def begin_message(self, node_index: int, slot: int, expected_packets: int) -> int:
         return self.begin_at(
@@ -230,7 +164,6 @@ class ReceiveBuffer(_SlotBuffer):
         if not 0 <= index < len(self.slots):
             raise ValueError(f"slot index {index!r} out of range")
         self.slots[index].begin_message(expected_packets)
-        # _note_occupy, inlined: every RPC passes here.
         occupied = self._occupied = self._occupied + 1
         if occupied > self.max_occupied:
             self.max_occupied = occupied

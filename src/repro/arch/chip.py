@@ -225,19 +225,18 @@ class Chip:
         if self.completed_messages is not None:
             self.completed_messages.append(msg)
 
-        # 1. Replenish propagates to the dispatcher that issued the RPC.
+        # 1. The replenish propagates to the dispatcher that issued the RPC.
         core_id = core.core_id
         self.frontends[core_id].propagate_replenish(msg)
         # 2. The receive slot frees once the RPC is processed.
         self.receive_buffer.release(msg.receive_slot)
         # 3. The reply (512B send) leaves through this core's nearest
         #    backend, consuming egress pipeline occupancy.
-        if config.model_reply_egress:
-            size = self.program.reply_size_bytes(msg) if fixed is None else fixed[2]
-            reply_packets = self._reply_packets.get(size)
-            if reply_packets is None:
-                reply_packets = self._reply_packets[size] = config.packets_for(size)
-            self.backends[self._reply_backend[core_id]].send_reply(reply_packets)
+        size = self.program.reply_size_bytes(msg) if fixed is None else fixed[2]
+        reply_packets = self._reply_packets.get(size)
+        if reply_packets is None:
+            reply_packets = self._reply_packets[size] = config.packets_for(size)
+        self.backends[self._reply_backend[core_id]].send_reply(reply_packets)
         # 4. The replenish packet reaches the source node one wire
         #    latency later and frees the sender's send slot. The record
         #    is recycled once that callback (the last reader) has run.

@@ -71,10 +71,6 @@ class ChipConfig:
     #: recycling (request latency is measured from NI arrival).
     wire_latency_ns: float = 100.0
 
-    # --- model switches ----------------------------------------------------
-    #: Charge outgoing reply packets to backend pipeline occupancy.
-    model_reply_egress: bool = True
-
     def __post_init__(self) -> None:
         if self.num_cores != self.mesh_rows * self.mesh_cols:
             raise ValueError(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-__all__ = ["SendMessage", "Replenish", "OneSidedWrite"]
+__all__ = ["SendMessage", "OneSidedWrite"]
 
 
 class SendMessage:
@@ -123,20 +123,6 @@ class SendMessage:
             f"<SendMessage id={self.msg_id} src={self.src_node} "
             f"slot={self.slot} {self.size_bytes}B {self.label}>"
         )
-
-
-class Replenish:
-    """End-to-end flow-control credit for one consumed send slot (§4.2)."""
-
-    __slots__ = ("src_node", "slot", "core_id")
-
-    def __init__(self, src_node: int, slot: int, core_id: int) -> None:
-        self.src_node = src_node
-        self.slot = slot
-        self.core_id = core_id
-
-    def __repr__(self) -> str:
-        return f"<Replenish src={self.src_node} slot={self.slot} core={self.core_id}>"
 
 
 class OneSidedWrite:

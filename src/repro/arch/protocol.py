@@ -12,9 +12,9 @@ from __future__ import annotations
 from typing import Dict, List
 
 from .config import ChipConfig
-from .packets import Replenish, SendMessage
+from .packets import SendMessage
 
-__all__ = ["SendFactory", "make_send", "make_replenish"]
+__all__ = ["SendFactory", "make_send"]
 
 
 class SendFactory:
@@ -89,11 +89,3 @@ def make_send(
         msg_id, src_node, slot, size_bytes, service_ns, label
     )
 
-
-def make_replenish(msg: SendMessage) -> Replenish:
-    """Build the replenish credit for a consumed send (§4.2).
-
-    The target send-buffer slot is "trivially deduced from the receive
-    buffer index the corresponding send was retrieved from".
-    """
-    return Replenish(src_node=msg.src_node, slot=msg.slot, core_id=msg.core_id)

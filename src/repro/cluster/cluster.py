@@ -37,13 +37,13 @@ import numpy as np
 from ..arch import Chip, ChipConfig, SendFactory, SendMessage
 from ..balancing import BalancingScheme, SingleQueue
 from ..metrics import LatencyRecorder, LatencySummary
+from ..popload.arrivals import ArrivalProcess, StationaryPoisson
 from ..sim import Environment, RngRegistry
 from ..workloads import MicrobenchCosts, MicrobenchProgram, RpcWorkload
 from .fabric import Fabric, UniformFabric
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults import FaultInjector, FaultPlan, FaultStats, RetryConfig
-    from ..popload.arrivals import ArrivalProcess
     from ..rack import RackRouter, RouterStats
     from ..telemetry import TelemetrySnapshot
     from ..tracing import TraceBuffer, TraceConfig
@@ -225,30 +225,27 @@ class ClusterNode:
     # -- client side --------------------------------------------------------
 
     def start_traffic(self, per_node_rps: float, num_requests: int) -> None:
-        """Start this node's open-loop arrival chain."""
-        self._mean_gap_ns = 1e9 / per_node_rps
-        self._num_requests = num_requests
-        # Population-driven load: pre-draw this node's whole gap batch
-        # from the process; None keeps the historical per-request
-        # scalar draws (byte-identical stream consumption).
+        """Start this node's open-loop arrival chain.
+
+        The node's whole gap batch is pre-drawn from its own "arrivals"
+        stream; without a cluster-wide process that is a stationary
+        Poisson at ``per_node_rps``. The batch is read through a
+        memoryview, which yields plain floats without boxing a numpy
+        scalar per request.
+        """
         process = self.cluster.arrival_process
-        self._gaps = (
-            process.sample_gaps(self._arrival_rng, num_requests)
-            if process is not None
-            else None
-        )
+        if process is None:
+            process = StationaryPoisson(per_node_rps)
+        self._num_requests = num_requests
+        self._gaps = memoryview(np.ascontiguousarray(
+            process.sample_gaps(self._arrival_rng, num_requests), dtype=np.float64
+        ))
         self._schedule_arrival(0)
 
     def _schedule_arrival(self, index: int) -> None:
-        """Schedule arrival ``index`` one gap from now. Arrivals send
-        before they call this: the draw order of a per-request loop."""
+        """Schedule arrival ``index`` one gap from now."""
         if index < self._num_requests:
-            gap = (
-                float(self._gaps[index])
-                if self._gaps is not None
-                else self._arrival_rng.exponential(self._mean_gap_ns)
-            )
-            self.cluster.env.schedule_call(gap, self._arrive, index)
+            self.cluster.env.schedule_call(self._gaps[index], self._arrive, index)
 
     def _arrive(self, index: int) -> None:
         """One arrival: a logical RPC and its first attempt."""
@@ -630,28 +627,25 @@ class Cluster:
         core_counts: Optional[Sequence[int]] = None,
         speed_factors: Optional[Sequence[float]] = None,
         telemetry: bool = False,
-        telemetry_interval_ns: Optional[float] = None,
         faults: Optional["FaultPlan"] = None,
         retry: Optional["RetryConfig"] = None,
         trace: Optional["TraceConfig"] = None,
-        arrival_process: Optional["ArrivalProcess"] = None,
+        arrival_process: Optional[ArrivalProcess] = None,
     ) -> None:
         if num_nodes < 2:
             raise ValueError(f"need at least 2 nodes, got {num_nodes!r}")
         from ..workloads import HerdWorkload
 
         if arrival_process is not None:
-            from ..popload.arrivals import ArrivalProcess as _ArrivalProcess
-
-            if not isinstance(arrival_process, _ArrivalProcess):
+            if not isinstance(arrival_process, ArrivalProcess):
                 raise TypeError(
                     "arrival_process must be a repro.popload "
                     f"ArrivalProcess, got {type(arrival_process).__name__}"
                 )
         #: Optional :mod:`repro.popload` arrival stream, applied at every
         #: node (each node consumes its own named "arrivals" RNG stream,
-        #: so realizations stay independent). None keeps the historical
-        #: per-node stationary Poisson, byte-identical.
+        #: so realizations stay independent). None is a stationary
+        #: Poisson at each run's per-node rate.
         self.arrival_process = arrival_process
         self.num_nodes = num_nodes
         self.workload = workload if workload is not None else HerdWorkload()
@@ -699,7 +693,6 @@ class Cluster:
         #: Rack-level scheduler; None keeps the historical uniform spray.
         self.router = router
         self.telemetry = telemetry
-        self.telemetry_interval_ns = telemetry_interval_ns
         #: Fault injection and/or client-side retries. Without either,
         #: the injector, timeouts, hedges and client e2e stay off.
         self.robust = faults is not None or retry is not None
@@ -861,11 +854,8 @@ class Cluster:
         if self.telemetry:
             from ..telemetry import TelemetryHub, instrument_cluster
 
-            interval = self.telemetry_interval_ns
-            if interval is None:
-                # ~200 sampler ticks across the expected injection window.
-                interval = max(injection_ns / 200.0, 1.0)
-            hub = TelemetryHub(sample_interval=interval)
+            # ~200 sampler ticks across the expected injection window.
+            hub = TelemetryHub(sample_interval=max(injection_ns / 200.0, 1.0))
             instrument_cluster(self, hub)
             self.env.attach_sampler(hub.make_sampler())
         if self.router is not None:

@@ -127,13 +127,7 @@ class RpcValetSystem:
         arrival_process: Optional[ArrivalProcess] = None,
         interference=None,
         telemetry: bool = False,
-        telemetry_interval_ns: Optional[float] = None,
-        latency_mode: str = "exact",
     ) -> None:
-        if latency_mode not in ("exact", "streaming"):
-            raise ValueError(
-                f"latency_mode must be 'exact' or 'streaming', got {latency_mode!r}"
-            )
         self.scheme = scheme
         self.workload = workload
         self.config = config
@@ -158,14 +152,6 @@ class RpcValetSystem:
         #: snapshot to the result (and to ``point.extra["telemetry"]``,
         #: so sweeps carry it through the parallel engine for merging).
         self.telemetry = telemetry
-        #: Periodic-sampler tick in simulated ns; None derives ~200
-        #: ticks from the run's expected duration.
-        self.telemetry_interval_ns = telemetry_interval_ns
-        #: Latency accounting: "exact" keeps per-request records and
-        #: exact percentiles (the default — figure assertions depend on
-        #: it); "streaming" trades ≈1% percentile error for O(1) memory
-        #: via :class:`repro.metrics.StreamingLatencyRecorder`.
-        self.latency_mode = latency_mode
 
     @property
     def label(self) -> str:
@@ -219,23 +205,15 @@ class RpcValetSystem:
             raise ValueError(f"num_requests must be positive, got {num_requests!r}")
         rngs = RngRegistry(self.seed)
         chip = self._build(rngs)
-        if self.latency_mode == "streaming":
-            from ..metrics import StreamingLatencyRecorder
-
-            chip.recorder = StreamingLatencyRecorder(
-                expected_count=num_requests, warmup_fraction=warmup_fraction
-            )
         message_log: Optional[MessageLog] = None
         if keep_messages:
             message_log = MessageLog(max_messages)
             chip.completed_messages = message_log
         hub: Optional[TelemetryHub] = None
         if self.telemetry if telemetry is None else telemetry:
-            interval = self.telemetry_interval_ns
-            if interval is None:
-                # ~200 sampler ticks across the expected injection window.
-                duration_ns = num_requests / (offered_mrps * 1e6) * 1e9
-                interval = max(duration_ns / 200.0, 1.0)
+            # ~200 sampler ticks across the expected injection window.
+            duration_ns = num_requests / (offered_mrps * 1e6) * 1e9
+            interval = max(duration_ns / 200.0, 1.0)
             hub = TelemetryHub(sample_interval=interval)
             instrument_chip(chip, hub)
             chip.env.attach_sampler(hub.make_sampler())
@@ -422,9 +400,5 @@ def _warmup_cutoff(recorder, warmup_fraction: float) -> float:
 
     if warmup_fraction <= 0 or len(recorder) == 0:
         return 0.0
-    cutoff = getattr(recorder, "warmup_cutoff", None)
-    if cutoff is not None:
-        # Streaming recorder: warmup was applied at record time.
-        return cutoff()
     times = np.asarray(recorder._times)
     return float(np.quantile(times, warmup_fraction))

@@ -9,7 +9,7 @@ over the existing cluster machinery. See ``ext-datacenter`` in
 EXPERIMENTS.md for the sweep this package exists to answer.
 """
 
-from .failures import merge_plans, rack_power_loss, tor_crash
+from .failures import merge_plans, rack_power_loss
 from .fastdc import calibrated_profile_overhead_ns, simulate_datacenter_fast
 from .router import DatacenterRouter
 from .schedulers import (
@@ -39,6 +39,5 @@ __all__ = [
     "simulate_datacenter_fast",
     "calibrated_profile_overhead_ns",
     "rack_power_loss",
-    "tor_crash",
     "merge_plans",
 ]

@@ -2,19 +2,19 @@
 
 Single-node crashes (:mod:`repro.faults`) model independent failures;
 a datacenter's dominant outages are *correlated* — a rack PDU trips, a
-ToR crashes — taking every member node out at the same instant. These
-helpers expand a rack-level event into the explicit per-member
+ToR crashes — taking every member node out at the same instant.
+:func:`rack_power_loss` expands such a rack-level event into the explicit per-member
 :class:`~repro.faults.NodeCrash` group the existing fault machinery
 executes, so both simulation tiers (the DES injector and the fast
 tier's :class:`~repro.fastpath.loop.FaultTimeline`) replay the
 correlated outage with zero new event types.
 
-Both helpers produce the same member-crash group; the distinction is
-semantic and lives in the caller's narrative: a power loss kills the
+A power loss kills the
 servers (in-flight work frozen until the outage ends — exactly
-``NodeCrash``'s recovery semantics), while a ToR crash makes them
-unreachable (arriving requests drop at the NI, which ``NodeCrash``
-also models). At the fidelity of this layer the two coincide.
+``NodeCrash``'s recovery semantics); a ToR crash makes them unreachable
+(arriving requests drop at the NI, which ``NodeCrash`` also models). At
+the fidelity of this layer the two coincide, so both are
+:func:`rack_power_loss`.
 """
 
 from __future__ import annotations
@@ -25,23 +25,7 @@ from ..faults import FaultPlan
 from ..faults.plan import NodeCrash
 from .topology import DatacenterTopology
 
-__all__ = ["rack_power_loss", "tor_crash", "merge_plans"]
-
-
-def _rack_crash_events(
-    topology: DatacenterTopology,
-    rack: int,
-    at_ns: float,
-    outage_ns: Optional[float],
-) -> tuple:
-    if not 0 <= rack < topology.num_racks:
-        raise ValueError(
-            f"rack {rack!r} out of range [0, {topology.num_racks})"
-        )
-    return tuple(
-        NodeCrash(node=node, at_ns=at_ns, outage_ns=outage_ns)
-        for node in topology.members(rack)
-    )
+__all__ = ["rack_power_loss", "merge_plans"]
 
 
 def rack_power_loss(
@@ -50,22 +34,19 @@ def rack_power_loss(
     at_ns: float,
     outage_ns: Optional[float] = None,
 ) -> FaultPlan:
-    """Whole-rack PDU trip: every member crashes at ``at_ns``.
+    """Whole-rack outage: every member crashes at ``at_ns``.
 
-    ``outage_ns=None`` is a permanent loss; otherwise the rack powers
+    ``outage_ns=None`` is a permanent loss; otherwise the rack comes
     back up together after the outage.
     """
-    return FaultPlan(events=_rack_crash_events(topology, rack, at_ns, outage_ns))
-
-
-def tor_crash(
-    topology: DatacenterTopology,
-    rack: int,
-    at_ns: float,
-    outage_ns: Optional[float] = None,
-) -> FaultPlan:
-    """ToR switch crash: the rack's members become unreachable as one."""
-    return FaultPlan(events=_rack_crash_events(topology, rack, at_ns, outage_ns))
+    if not 0 <= rack < topology.num_racks:
+        raise ValueError(
+            f"rack {rack!r} out of range [0, {topology.num_racks})"
+        )
+    return FaultPlan(events=tuple(
+        NodeCrash(node=node, at_ns=at_ns, outage_ns=outage_ns)
+        for node in topology.members(rack)
+    ))
 
 
 def merge_plans(plans: Iterable[FaultPlan]) -> FaultPlan:

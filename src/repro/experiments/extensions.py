@@ -29,12 +29,11 @@ from ..runner import map_points
 from ..dists import masstree_get, masstree_scan
 from ..metrics import format_table
 from ..queueing import (
-    RandomRouter,
     poisson_arrivals,
     simulate_fifo_queue,
     simulate_hedged_queues,
     simulate_preemptive_queue,
-    simulate_routed_queues,
+    spray_departures,
 )
 from ..workloads import HerdWorkload, MicrobenchCosts
 from .common import ExperimentResult, get_profile
@@ -131,10 +130,9 @@ def run_hedging(
         arrivals = poisson_arrivals(rng, 16.0 * load, n)
         services = rng.exponential(1.0, n)
         warm = n // 10
-        plain = simulate_routed_queues(
-            arrivals, services, 16, 1, RandomRouter(),
-            np.random.default_rng(seed + 1),
-        )
+        plain = spray_departures(
+            arrivals, services, 16, 1, np.random.default_rng(seed + 1)
+        ) - arrivals
         hedged = simulate_hedged_queues(
             arrivals, services, 16, copies=2,
             rng=np.random.default_rng(seed + 1),

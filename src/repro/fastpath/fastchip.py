@@ -36,7 +36,7 @@ from ..balancing.software import DEFAULT_CRITICAL_NS
 from ..balancing import SoftwareSingleQueue
 from ..dists import Distribution
 from ..metrics import LatencySummary, SweepPoint, SweepResult
-from ..queueing.fastsim import poisson_arrivals, simulate_fifo_queue
+from ..queueing.fastsim import poisson_arrivals, simulate_fifo_queue, spray_departures
 from ..runner import task_seed
 from .calibration import bisect_occupancy
 
@@ -52,24 +52,6 @@ _TOTAL_CORES = 16
 #: capacity of one 16-core chip — the regime the shaped sweeps peak in).
 _CHIP_PROBE_MRPS = 23.0
 _CHIP_PROBE_REQUESTS = 1500
-
-
-def _spray_departures(
-    arrivals: np.ndarray,
-    services: np.ndarray,
-    num_queues: int,
-    servers_per_queue: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Uniform random spray over ``num_queues`` independent FIFOs."""
-    picks = rng.integers(0, num_queues, size=arrivals.size)
-    departures = np.empty_like(arrivals)
-    for queue in range(num_queues):
-        mask = picks == queue
-        departures[mask] = simulate_fifo_queue(
-            arrivals[mask], services[mask], servers_per_queue, validate=False
-        )
-    return departures
 
 
 def _achieved_mrps(departures: np.ndarray, cutoff: float) -> float:
@@ -94,9 +76,9 @@ def _scheme_departures(
     if scheme == "1x16":
         return simulate_fifo_queue(arrivals, services, _TOTAL_CORES, validate=False)
     if scheme == "4x4":
-        return _spray_departures(arrivals, services, 4, 4, rng)
+        return spray_departures(arrivals, services, 4, 4, rng)
     if scheme == "16x1":
-        return _spray_departures(arrivals, services, 16, 1, rng)
+        return spray_departures(arrivals, services, 16, 1, rng)
     if scheme == "sw-1x16":
         # Tandem: serialized MCS hand-off, then the 16 cores (each RPC
         # additionally pays the post-dequeue critical section). A

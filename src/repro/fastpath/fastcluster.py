@@ -43,12 +43,11 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..cluster.cluster import ClusterResult
-from ..queueing.fastsim import simulate_fifo_queue
+from ..queueing.fastsim import simulate_fifo_queue, spray_departures
 from ..rack.policies import ZipfDestinations, make_policy
 from ..rack.router import RouterStats
 from ..rack.signals import BroadcastSignal, PiggybackSignal, make_signal
 from .calibration import bisect_occupancy, light_load_overhead_ns
-from .fastchip import _spray_departures
 from .loop import (
     FaultTimeline, RoutingStream, build_result, check_scenario, run_loop, sample_requests,
 )
@@ -166,7 +165,7 @@ def _node_departures(
     if scheme == "1x16":
         return simulate_fifo_queue(arrivals, services, cores, validate=False)
     # 16x1: uniform spray to per-core FIFOs, each a Lindley recurrence.
-    return _spray_departures(arrivals, services, cores, 1, spray_rng)
+    return spray_departures(arrivals, services, cores, 1, spray_rng)
 
 
 def _count_stalls(

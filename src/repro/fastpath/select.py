@@ -149,7 +149,6 @@ def engine_supports(engine: str, capabilities) -> bool:
 def resolve_engine(
     engine: str,
     num_nodes: int,
-    threshold: int = DEFAULT_FLUID_THRESHOLD,
     *,
     arrival_process=None,
     faults=None,
@@ -188,7 +187,7 @@ def resolve_engine(
         hierarchy=hierarchy,
     )
     if engine == "auto":
-        resolved = "fast" if num_nodes <= threshold else "fluid"
+        resolved = "fast" if num_nodes <= DEFAULT_FLUID_THRESHOLD else "fluid"
         if not engine_supports(resolved, need):
             for fallback in _AUTO_FALLBACK:
                 if engine_supports(fallback, need):

@@ -8,7 +8,7 @@ from .chrometrace import (
     export_chrome_trace,
     telemetry_counter_events,
 )
-from .latency import LatencyRecorder, LatencySummary, StreamingLatencyRecorder
+from .latency import LatencyRecorder, LatencySummary
 from .statistics import (
     BatchMeansResult,
     ImbalanceStats,
@@ -30,7 +30,6 @@ __all__ = [
     "telemetry_counter_events",
     "export_chrome_trace",
     "LatencyRecorder",
-    "StreamingLatencyRecorder",
     "LatencySummary",
     "mser5_truncation",
     "batch_means_ci",

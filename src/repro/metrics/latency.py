@@ -3,9 +3,6 @@
 Every experiment funnels per-request latencies through a
 :class:`LatencyRecorder`, which supports class labels (e.g. Masstree
 ``get`` vs ``scan``), warmup trimming, and exact percentiles.
-:class:`StreamingLatencyRecorder` is the constant-memory alternative
-for runs that only consume percentiles and tolerate the telemetry
-histogram's bucket-ratio error.
 """
 
 from __future__ import annotations
@@ -15,7 +12,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-__all__ = ["LatencyRecorder", "LatencySummary", "StreamingLatencyRecorder"]
+__all__ = ["LatencyRecorder", "LatencySummary"]
 
 
 @dataclass(frozen=True)
@@ -168,131 +165,3 @@ class LatencyRecorder:
             return 0.0
         return float(times.size) / duration
 
-
-class StreamingLatencyRecorder:
-    """Constant-memory latency recorder with approximate percentiles.
-
-    A drop-in for :class:`LatencyRecorder` on runs where only the
-    summary percentiles are consumed: instead of three Python lists
-    growing by one entry per RPC, observations stream into the
-    telemetry layer's log-bucketed histograms
-    (:class:`repro.telemetry.Histogram`), so memory is O(occupied
-    buckets) regardless of run length. The trade-offs, which is why
-    this is strictly **opt-in** (``latency_mode="streaming"`` on
-    :class:`repro.core.RpcValetSystem`):
-
-    * percentiles carry the histogram's bucket-ratio relative error
-      (≈1.1% at the default 64 buckets/octave; min/max/mean/count
-      stay exact), so figures asserting exact values must keep the
-      default exact recorder;
-    * warmup trimming happens **up front by count** — the first
-      ``round(warmup_fraction * expected_count)`` recorded completions
-      are discarded at record time — rather than by the exact
-      recorder's post-hoc completion-time quantile. Completions are
-      recorded in time order, so the discarded sets coincide up to
-      quantile interpolation at the boundary;
-    * per-request records are gone, so ``latencies()`` (raw arrays)
-      and per-request breakdowns are unavailable.
-    """
-
-    def __init__(
-        self,
-        expected_count: int,
-        warmup_fraction: float = 0.0,
-        buckets_per_octave: int = 64,
-    ) -> None:
-        if expected_count < 0:
-            raise ValueError(
-                f"expected_count must be non-negative, got {expected_count!r}"
-            )
-        if not 0.0 <= warmup_fraction < 1.0:
-            raise ValueError(
-                f"warmup_fraction must be in [0,1), got {warmup_fraction!r}"
-            )
-        from ..telemetry import Histogram
-
-        self._make_hist = lambda name: Histogram(
-            name, buckets_per_octave=buckets_per_octave
-        )
-        self._skip = int(round(expected_count * warmup_fraction))
-        self._seen = 0
-        self._all = self._make_hist("latency")
-        #: Per-label histograms (post-warmup observations only); keys
-        #: double as the first-seen label order, so labels observed
-        #: during warmup still appear.
-        self._hists: Dict[str, object] = {}
-        self._first_kept: Optional[float] = None
-        self._last_kept: Optional[float] = None
-
-    def record(
-        self, completion_time: float, latency: float, label: str = "rpc"
-    ) -> None:
-        """Record one completed request (same contract as the exact recorder)."""
-        if latency < 0:
-            raise ValueError(f"negative latency {latency!r} at t={completion_time!r}")
-        self._seen += 1
-        hist = self._hists.get(label)
-        if hist is None:
-            hist = self._hists[label] = self._make_hist(label)
-        if self._seen <= self._skip:
-            return
-        if self._first_kept is None:
-            self._first_kept = completion_time
-        self._last_kept = completion_time
-        self._all.record(latency)
-        hist.record(latency)
-
-    def __len__(self) -> int:
-        return self._seen
-
-    @property
-    def labels(self) -> List[str]:
-        """Distinct labels seen (including during warmup), in order."""
-        return list(self._hists)
-
-    def warmup_cutoff(self) -> float:
-        """Completion time of the first post-warmup observation."""
-        return self._first_kept if self._first_kept is not None else 0.0
-
-    def summary(
-        self,
-        label: Optional[str] = None,
-        warmup_time: float = 0.0,
-        warmup_fraction: float = 0.0,
-    ) -> LatencySummary:
-        """Summary over the post-warmup stream.
-
-        The warmup arguments are accepted for interface compatibility
-        but ignored: trimming already happened at record time.
-        """
-        hist = self._all if label is None else self._hists.get(label)
-        if hist is None or hist.count == 0:
-            return LatencySummary.empty()
-        return LatencySummary(
-            count=int(hist.count),
-            mean=float(hist.total / hist.count),
-            p50=float(hist.quantile(0.50)),
-            p90=float(hist.quantile(0.90)),
-            p95=float(hist.quantile(0.95)),
-            p99=float(hist.quantile(0.99)),
-            p999=float(hist.quantile(0.999)),
-            max=float(hist.max),
-        )
-
-    def throughput(
-        self, label: Optional[str] = None, warmup_time: float = 0.0
-    ) -> float:
-        """Post-warmup completions per unit time (whole stream only)."""
-        if label is not None:
-            raise ValueError(
-                "StreamingLatencyRecorder tracks the completion window "
-                "for the whole stream, not per label"
-            )
-        hist = self._all
-        if hist.count < 2 or self._last_kept is None:
-            return 0.0
-        start = max(warmup_time, self._first_kept)
-        duration = self._last_kept - start
-        if duration <= 0:
-            return 0.0
-        return float(hist.count) / duration

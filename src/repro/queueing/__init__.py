@@ -14,7 +14,12 @@ from .analytic import (
     mmc_sojourn_percentile,
     mmc_wait_percentile,
 )
-from .fastsim import poisson_arrivals, simulate_fifo_queue, sojourn_times
+from .fastsim import (
+    poisson_arrivals,
+    simulate_fifo_queue,
+    sojourn_times,
+    spray_departures,
+)
 from .finite import (
     erlang_b,
     mmck_blocking_probability,
@@ -47,6 +52,7 @@ __all__ = [
     "composite_service",
     "PAPER_CONFIGS",
     "simulate_fifo_queue",
+    "spray_departures",
     "sojourn_times",
     "poisson_arrivals",
     "kernel_sojourn_times",

@@ -14,21 +14,40 @@ M/M/c results and (b) a slow generic-kernel implementation
 from __future__ import annotations
 
 import heapq
+import math
+import numbers
 
 import numpy as np
 
 __all__ = [
     "simulate_fifo_queue",
+    "spray_departures",
     "sojourn_times",
     "queue_length_series",
     "queue_depth_at_arrivals",
     "poisson_arrivals",
     "validate_queue_inputs",
+    "check_unit_count",
 ]
 
 
+def check_unit_count(name: str, value: int) -> int:
+    """Return ``value`` if it is an integer >= 1, else raise.
+
+    A float or bool count of queues or servers would otherwise run with
+    a silently wrong count (True as 1) or die deep inside numpy (2.5).
+    """
+    if not (
+        isinstance(value, numbers.Integral)
+        and not isinstance(value, bool)
+        and value >= 1
+    ):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def validate_queue_inputs(arrivals: np.ndarray, services: np.ndarray) -> None:
-    """Check monotone arrivals / non-negative services.
+    """Check finite, monotone arrivals / finite, non-negative services.
 
     The single shared home of the O(n) input validation: external call
     paths run it once at their boundary; internal correct-by-construction
@@ -36,8 +55,12 @@ def validate_queue_inputs(arrivals: np.ndarray, services: np.ndarray) -> None:
     distributions) skip it with ``validate=False`` instead of paying the
     temporaries on every hot call.
     """
+    if not np.all(np.isfinite(arrivals)):
+        raise ValueError("arrival_times must be finite")
     if arrivals.size and np.any(np.diff(arrivals) < 0):
         raise ValueError("arrival_times must be non-decreasing")
+    if not np.all(np.isfinite(services)):
+        raise ValueError("service times must be finite")
     if np.any(services < 0):
         raise ValueError("service times must be non-negative")
 
@@ -57,13 +80,14 @@ def simulate_fifo_queue(
     service_times:
         Per-request service times (same length as arrivals).
     num_servers:
-        Number of identical serving units pulling from this FIFO.
+        Number of identical serving units pulling from this FIFO (an
+        integer >= 1).
     validate:
-        Check monotone arrivals / non-negative services before
-        simulating. These checks allocate O(n) temporaries, which is
-        measurable on this inner loop; internal callers whose inputs
-        are correct by construction (a cumsum of non-negative gaps,
-        samples from a non-negative distribution) pass ``False``.
+        Check finite, monotone arrivals / finite, non-negative services
+        before simulating. These checks allocate O(n) temporaries,
+        which is measurable on this inner loop; internal callers whose
+        inputs are correct by construction (a cumsum of non-negative
+        gaps, samples from a non-negative distribution) pass ``False``.
 
     Returns
     -------
@@ -78,8 +102,7 @@ def simulate_fifo_queue(
         )
     if arrivals.ndim != 1:
         raise ValueError("expected 1-D arrays")
-    if num_servers <= 0:
-        raise ValueError(f"num_servers must be positive, got {num_servers!r}")
+    check_unit_count("num_servers", num_servers)
     if validate:
         validate_queue_inputs(arrivals, services)
 
@@ -104,6 +127,31 @@ def simulate_fifo_queue(
         depart = start + services[index]
         push(free_heap, depart)
         departures[index] = depart
+    return departures
+
+
+def spray_departures(
+    arrivals: np.ndarray,
+    services: np.ndarray,
+    num_queues: int,
+    servers_per_queue: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Model Q×U: uniform random spray over ``num_queues`` FIFOs.
+
+    One ``rng.integers`` batch picks every request's FIFO; it yields
+    the values one scalar ``rng.integers(0, num_queues)`` per request
+    would, so this matches a per-arrival random router draw for draw.
+    Returns departure times in arrival order. Inputs are not
+    validated: callers pass cumsum arrivals and distribution samples.
+    """
+    picks = rng.integers(0, num_queues, size=arrivals.size)
+    departures = np.empty_like(arrivals)
+    for queue in range(num_queues):
+        mask = picks == queue
+        departures[mask] = simulate_fifo_queue(
+            arrivals[mask], services[mask], servers_per_queue, validate=False
+        )
     return departures
 
 
@@ -180,8 +228,8 @@ def poisson_arrivals(
     rng: np.random.Generator, rate: float, count: int, start: float = 0.0
 ) -> np.ndarray:
     """Absolute arrival times of a Poisson process with the given rate."""
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate!r}")
+    if not 0 < rate < math.inf:
+        raise ValueError(f"rate must be positive and finite, got {rate!r}")
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count!r}")
     gaps = rng.exponential(1.0 / rate, size=count)

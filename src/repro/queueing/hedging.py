@@ -9,11 +9,11 @@ trade-off can be quantified against RPCValet's server-side approach
 (see ``benchmarks/bench_extensions.py``).
 
 Model: every request is sent to ``copies`` distinct uniformly chosen
-queues; the first copy to *finish* wins. Copies are cancelled when a
-sibling completes only if ``cancel_on_completion`` — and cancellation
-removes only copies still waiting in a queue (a copy already occupying
-a server runs to completion, which is how practical cancellation
-behaves at µs scale, where the cancel message races the work itself).
+queues; the first copy to *finish* wins, which cancels its siblings.
+Cancellation removes only copies still waiting in a queue (a copy
+already occupying a server runs to completion, which is how practical
+cancellation behaves at µs scale, where the cancel message races the
+work itself).
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ def simulate_hedged_queues(
     service_times: np.ndarray,
     num_queues: int,
     copies: int = 2,
-    cancel_on_completion: bool = True,
     rng: np.random.Generator = None,
 ) -> HedgingResult:
     """Hedge each request across ``copies`` single-server FIFO queues.
@@ -92,7 +91,7 @@ def simulate_hedged_queues(
         """Start the next un-cancelled copy waiting at this queue."""
         while queues[queue_id]:
             request = queues[queue_id].popleft()
-            if cancel_on_completion and request in done:
+            if request in done:
                 continue  # cancelled while waiting
             start(queue_id, request, now)
             return

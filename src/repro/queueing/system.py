@@ -12,6 +12,7 @@ component D. :func:`composite_service` builds that.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -23,6 +24,7 @@ from ..runner import map_points, spawn_point_seeds
 from ..sim import RngRegistry
 from ..telemetry import Histogram, TelemetrySnapshot, TimeSeries
 from .fastsim import (
+    check_unit_count,
     poisson_arrivals,
     queue_depth_at_arrivals,
     queue_length_series,
@@ -34,6 +36,10 @@ __all__ = ["QueueingSystem", "composite_service", "PAPER_CONFIGS", "run_queueing
 
 #: The five configurations of Fig. 2a, as (num_queues, servers_per_queue).
 PAPER_CONFIGS = ((1, 16), (2, 8), (4, 4), (8, 2), (16, 1))
+
+#: Cap on retained telemetry time-series events per queue (the depth
+#: histograms are always complete; only the step series is decimated).
+TELEMETRY_SERIES_POINTS = 512
 
 
 def composite_service(
@@ -77,15 +83,10 @@ class QueueingSystem:
     #: (arrival-sampled depth histograms + a step time series per FIFO)
     #: in ``point.extra["telemetry"]``; see :mod:`repro.telemetry`.
     telemetry: bool = False
-    #: Cap on retained time-series events per queue (the histograms are
-    #: always complete; only the step series is decimated).
-    telemetry_series_points: int = 512
 
     def __post_init__(self) -> None:
-        if self.num_queues <= 0 or self.servers_per_queue <= 0:
-            raise ValueError(
-                f"need positive Q and U, got {self.num_queues}x{self.servers_per_queue}"
-            )
+        check_unit_count("num_queues", self.num_queues)
+        check_unit_count("servers_per_queue", self.servers_per_queue)
 
     @property
     def total_servers(self) -> int:
@@ -109,8 +110,8 @@ class QueueingSystem:
         FIFO. Latencies are sojourn times in multiples of the mean
         service time S̄ (matching Fig. 2's y-axis).
         """
-        if not 0 < load:
-            raise ValueError(f"load must be positive, got {load!r}")
+        if not 0 < load < math.inf:
+            raise ValueError(f"load must be positive and finite, got {load!r}")
         if num_requests <= 0:
             raise ValueError(f"num_requests must be positive, got {num_requests!r}")
         mean_service = self.service.mean
@@ -203,7 +204,7 @@ class QueueingSystem:
             )
         combined.record_many(depths)
         times, lengths = queue_length_series(arrivals, departures)
-        stride = max(1, times.size // self.telemetry_series_points)
+        stride = max(1, times.size // TELEMETRY_SERIES_POINTS)
         series = TimeSeries(f"queue_len[q{queue_id}]")
         series.times = times[::stride].tolist()
         series.values = lengths[::stride].astype(float).tolist()

@@ -81,9 +81,8 @@ class RackRouter:
         Enables the failure detector (robust clusters only): a server
         not heard from for this long is *suspected* and removed from
         the routing candidate set until a heartbeat readmits it.
-    heartbeat_period_ns:
-        Liveness heartbeat period; defaults to ``suspect_after_ns / 4``
-        so a healthy server is never falsely suspected by timing alone.
+        Servers heartbeat every ``suspect_after_ns / 4``, so a healthy
+        server is never falsely suspected by timing alone.
     """
 
     def __init__(
@@ -92,20 +91,19 @@ class RackRouter:
         signal: "LoadSignal | str" = "fresh",
         skew: float = 0.0,
         suspect_after_ns: Optional[float] = None,
-        heartbeat_period_ns: Optional[float] = None,
     ) -> None:
-        for name, value in (
-            ("suspect_after_ns", suspect_after_ns),
-            ("heartbeat_period_ns", heartbeat_period_ns),
+        if suspect_after_ns is not None and not (
+            math.isfinite(suspect_after_ns) and suspect_after_ns > 0
         ):
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            raise ValueError(
+                "suspect_after_ns must be positive and finite, "
+                f"got {suspect_after_ns!r}"
+            )
         check_skew(skew)
         self.policy = make_policy(policy) if isinstance(policy, str) else policy
         self.signal = make_signal(signal) if isinstance(signal, str) else signal
         self.skew = skew
         self.suspect_after_ns = suspect_after_ns
-        self.heartbeat_period_ns = heartbeat_period_ns
         self.cluster: Optional["Cluster"] = None
         self.num_nodes = 0
         #: Ground truth: RPCs routed to node j and not yet completed.
@@ -168,9 +166,7 @@ class RackRouter:
         self.signal.start()
         cluster = self.cluster
         if self.suspect_after_ns is not None and cluster.injector is not None:
-            period = self.heartbeat_period_ns
-            if period is None:
-                period = self.suspect_after_ns / 4.0
+            period = self.suspect_after_ns / 4.0
             fabric = cluster.fabric
             for server in range(self.num_nodes):
                 # Delivered to the rack-wide detector after the server's

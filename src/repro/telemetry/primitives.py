@@ -113,7 +113,7 @@ class Gauge:
 
 
 class Histogram:
-    """A log-bucketed streaming histogram of non-negative values.
+    """A log-bucketed streaming histogram of finite, non-negative values.
 
     Values land in geometric buckets ``[b^i, b^(i+1))`` with
     ``b = 2^(1/buckets_per_octave)``; bucket counts live in a sparse
@@ -159,9 +159,11 @@ class Histogram:
     # -- recording ------------------------------------------------------------
 
     def record(self, value: float) -> None:
-        """Record one observation (non-negative)."""
-        if value < 0:
-            raise ValueError(f"histogram values must be >= 0, got {value!r}")
+        """Record one observation (finite and non-negative)."""
+        if not 0 <= value < math.inf:
+            raise ValueError(
+                f"histogram values must be finite and >= 0, got {value!r}"
+            )
         self.count += 1
         self.total += value
         if value < self.min:
@@ -201,8 +203,12 @@ class Histogram:
         values = np.asarray(values, dtype=float)
         if values.size == 0:
             return
-        if np.any(values < 0):
-            raise ValueError("histogram values must be >= 0")
+        bad = np.flatnonzero(~((values >= 0) & (values < math.inf)))
+        if bad.size:
+            raise ValueError(
+                "histogram values must be finite and >= 0, "
+                f"got {float(values[bad[0]])!r}"
+            )
         self.count += int(values.size)
         self.total += float(values.sum())
         self.min = min(self.min, float(values.min()))

@@ -30,7 +30,7 @@ import numpy as np
 from ..arch.buffers import DynamicSlotAllocator
 from ..arch.chip import Chip
 from ..arch.packets import SendMessage
-from ..popload.arrivals import ArrivalProcess
+from ..popload.arrivals import ArrivalProcess, StationaryPoisson
 from ..popload.skew import zipf_weights
 from ..sim import RngRegistry
 from .base import RpcWorkload
@@ -222,16 +222,16 @@ class TrafficGenerator:
         # arch-simulator hot path. Arrivals, sources, and services are
         # separate named streams, so batching each stream consumes its
         # bitstream exactly like the former per-request scalar draws.
-        # An arrival process (repro.popload) replaces only the gap
-        # batch; StationaryPoisson makes the identical vectorized call.
+        # Without an arrival process (repro.popload) the gaps are a
+        # stationary Poisson at ``arrival_rate_rps``.
         # The batches are read through memoryviews: indexing one yields
         # a plain float or int, the value float()/int() of the numpy
         # scalar gave, without boxing a numpy scalar per request.
         n = num_requests
-        if arrival_process is not None:
-            gaps = arrival_process.sample_gaps(self._arrival_rng, n)
-        else:
-            gaps = self._arrival_rng.exponential(1e9 / arrival_rate_rps, size=n)
+        process = arrival_process
+        if process is None:
+            process = StationaryPoisson(arrival_rate_rps)
+        gaps = process.sample_gaps(self._arrival_rng, n)
         self._gaps = memoryview(np.ascontiguousarray(gaps, dtype=np.float64))
         if self._source_probs is not None:
             sources = self._source_rng.choice(

@@ -8,8 +8,6 @@ from repro.arch import (
     ReceiveBuffer,
     ReceiveSlot,
     SEND_SLOT_BYTES,
-    SendBuffer,
-    SendSlot,
 )
 
 
@@ -51,27 +49,6 @@ class TestFootprintFormula:
             MessagingDomain(1, 0, 64)
         with pytest.raises(ValueError):
             MessagingDomain(1, 1, 0)
-
-
-class TestSendSlot:
-    def test_occupy_and_invalidate(self):
-        slot = SendSlot()
-        assert not slot.valid
-        slot.occupy(payload_ptr=0x1000, size_bytes=256)
-        assert slot.valid
-        slot.invalidate()
-        assert not slot.valid
-        assert slot.payload_ptr is None
-
-    def test_double_occupy_rejected(self):
-        slot = SendSlot()
-        slot.occupy(0, 1)
-        with pytest.raises(RuntimeError, match="already in use"):
-            slot.occupy(0, 1)
-
-    def test_replenish_free_slot_rejected(self):
-        with pytest.raises(RuntimeError):
-            SendSlot().invalidate()
 
 
 class TestReceiveSlot:
@@ -116,18 +93,6 @@ class TestBuffers:
     def make_domain(self):
         return MessagingDomain(num_nodes=4, slots_per_node=2, max_msg_bytes=128)
 
-    def test_send_buffer_occupancy_tracking(self):
-        buffer = SendBuffer(self.make_domain())
-        buffer.occupy(1, 0, payload_ptr=0, size_bytes=64)
-        buffer.occupy(1, 1, payload_ptr=0, size_bytes=64)
-        assert buffer.occupied == 2
-        assert buffer.max_occupied == 2
-        assert buffer.is_valid(1, 0)
-        buffer.replenish(1, 0)
-        assert buffer.occupied == 1
-        assert not buffer.is_valid(1, 0)
-        assert buffer.max_occupied == 2  # high-water mark persists
-
     def test_receive_buffer_lifecycle(self):
         buffer = ReceiveBuffer(self.make_domain())
         index = buffer.begin_message(2, 1, expected_packets=2)
@@ -136,3 +101,4 @@ class TestBuffers:
         assert buffer.packet_arrived(index)
         buffer.release(index)
         assert buffer.occupied == 0
+        assert buffer.max_occupied == 1  # high-water mark persists

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from repro.arch import Chip, ChipConfig, make_replenish, make_send
+from repro.arch import Chip, ChipConfig, make_send
 from repro.balancing import Grouped, Partitioned, SingleQueue
 from repro.core import make_system
 from repro.sim import Environment, RngRegistry
@@ -97,15 +97,6 @@ class TestSingleMessage:
         assert when == pytest.approx(
             msg.t_replenish + chip.config.wire_latency_ns
         )
-
-    def test_make_replenish_mirrors_message(self):
-        chip = build_chip()
-        msg = submit(chip, src_node=5, slot=2)
-        chip.env.run()
-        replenish = make_replenish(msg)
-        assert replenish.src_node == 5
-        assert replenish.slot == 2
-        assert replenish.core_id == msg.core_id
 
 
 class TestRendezvous:

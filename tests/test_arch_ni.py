@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.arch import (
-    Chip,
-    ChipConfig,
-    CompletionQueueEntry,
-    QueuePair,
-    WorkQueueEntry,
-    make_send,
-)
+from repro.arch import Chip, ChipConfig, QueuePair, make_send
 from repro.balancing import SingleQueue
 from repro.sim import Environment, RngRegistry
 from repro.workloads import MicrobenchCosts, MicrobenchProgram
@@ -28,29 +21,12 @@ def build_chip(config=None):
 
 
 class TestQueuePair:
-    def test_wqe_kinds(self):
-        assert WorkQueueEntry("send").op == "send"
-        assert WorkQueueEntry("replenish").op == "replenish"
-        with pytest.raises(ValueError):
-            WorkQueueEntry("teleport")
-
-    def test_cqe_payload(self):
-        cqe = CompletionQueueEntry("message", payload=123)
-        assert cqe.kind == "message"
-        assert cqe.payload == 123
-
     def test_cq_depth_high_water(self):
         qp = QueuePair(core_id=0)
         for index in range(3):
             qp.post_cqe(index)
         assert qp.max_cq_depth == 3
         assert len(qp.cq) == 3
-
-    def test_wq_post(self):
-        qp = QueuePair(core_id=0)
-        qp.post_wqe(WorkQueueEntry("send", payload="x"))
-        assert list(qp.wq)[0].payload == "x"
-        assert len(qp.wq) == 1
 
 
 class TestNIFrontend:
@@ -80,30 +56,28 @@ class TestNIBackend:
         assert second.t_reassembled == pytest.approx(2 * occupancy)
 
     def test_busy_time_accounted(self):
-        config = ChipConfig(num_backends=1, model_reply_egress=False)
+        # Reassembling the 2-packet request plus egressing the 512B
+        # reply (the microbenchmark's default reply size).
+        config = ChipConfig(num_backends=1)
         chip = build_chip(config)
         msg = make_send(chip.config, 0, 0, 0, 128, 100.0)
         chip.submit_message(msg)
         chip.env.run()
         backend = chip.backends[0]
         assert backend.messages_reassembled == 1
+        assert backend.replies_sent == 1
+        reply_packets = config.packets_for(512)
         assert backend.busy_ns == pytest.approx(
-            config.backend_fixed_ns + 2 * config.backend_per_packet_ns
+            2 * config.backend_fixed_ns
+            + (2 + reply_packets) * config.backend_per_packet_ns
         )
 
     def test_reply_egress_hits_backend(self):
-        chip = build_chip(ChipConfig(model_reply_egress=True))
+        chip = build_chip()
         msg = make_send(chip.config, 0, 0, 0, 128, 100.0)
         chip.submit_message(msg)
         chip.env.run()
         assert sum(b.replies_sent for b in chip.backends) == 1
-
-    def test_reply_egress_disabled(self):
-        chip = build_chip(ChipConfig(model_reply_egress=False))
-        msg = make_send(chip.config, 0, 0, 0, 128, 100.0)
-        chip.submit_message(msg)
-        chip.env.run()
-        assert sum(b.replies_sent for b in chip.backends) == 0
 
     def test_messages_spread_across_backends(self):
         chip = build_chip()

@@ -5,6 +5,7 @@ import pytest
 from repro.balancing import Partitioned, SingleQueue
 from repro.cluster import Cluster, PodFabric, UniformFabric
 from repro.fastpath import simulate_rack_fast
+from repro.popload import StationaryPoisson
 from repro.sim import Environment
 from repro.workloads import SyntheticWorkload
 
@@ -47,6 +48,15 @@ class TestCluster:
         assert result.completed == 3 * 2_000
         generated = sum(node.generated for node in cluster.nodes)
         assert generated == 3 * 2_000
+
+    def test_default_arrivals_are_stationary_poisson_at_the_run_rate(self):
+        default = Cluster(num_nodes=3, seed=5).run(12.0, 1_500)
+        explicit = Cluster(
+            num_nodes=3, seed=5, arrival_process=StationaryPoisson(12.0e6)
+        ).run(12.0, 1_500)
+        assert default.per_node == explicit.per_node
+        assert default.aggregate == explicit.aggregate
+        assert default.total_throughput_mrps == explicit.total_throughput_mrps
 
     def test_total_throughput_scales_with_nodes(self):
         small = Cluster(num_nodes=2, seed=1).run(10.0, 2_000)

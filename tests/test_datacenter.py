@@ -32,7 +32,6 @@ from repro.datacenter import (
     node_profile,
     rack_power_loss,
     simulate_datacenter_fast,
-    tor_crash,
 )
 from repro.balancing import SingleQueue
 from repro.faults import FaultPlan
@@ -290,14 +289,14 @@ class TestCorrelatedFailures:
         assert sorted(event.node for event in plan.events) == [4, 5, 6, 7]
         assert all(event.at_ns == 1e5 for event in plan.events)
         with pytest.raises(ValueError, match="out of range"):
-            tor_crash(topo, rack=4, at_ns=0.0)
+            rack_power_loss(topo, rack=4, at_ns=0.0)
 
     def test_merge_plans(self):
         topo = DatacenterTopology(4, 4)
         merged = merge_plans(
             [
                 rack_power_loss(topo, 0, at_ns=1e5, outage_ns=5e4),
-                tor_crash(topo, 2, at_ns=2e5, outage_ns=5e4),
+                rack_power_loss(topo, 2, at_ns=2e5, outage_ns=5e4),
             ]
         )
         assert len(merged.events) == 8

@@ -8,7 +8,6 @@ import pytest
 from repro.metrics import (
     LatencyRecorder,
     LatencySummary,
-    StreamingLatencyRecorder,
     LoadSweep,
     SweepPoint,
     SweepResult,
@@ -112,52 +111,6 @@ class TestLatencySummary:
         assert scaled.mean == pytest.approx(summary.mean * 10)
         assert scaled.p99 == pytest.approx(summary.p99 * 10)
         assert scaled.count == summary.count
-
-
-class TestStreamingLatencyRecorder:
-    def test_boundary_quantiles_stay_in_the_value_bucket(self):
-        # A constant sample on an exact histogram bucket edge (8.0)
-        # used to report quantiles a full bucket *below* the only
-        # recorded value (the floor(log) edge regression).
-        recorder = StreamingLatencyRecorder(expected_count=100)
-        for index in range(100):
-            recorder.record(float(index), 8.0)
-        summary = recorder.summary()
-        ratio = 2.0 ** (1.0 / 64)
-        assert summary.count == 100 and summary.max == 8.0
-        for quantile in (summary.p50, summary.p90, summary.p99):
-            assert 8.0 <= quantile <= 8.0 * ratio
-
-    def test_empty_and_unknown_label_summaries(self):
-        recorder = StreamingLatencyRecorder(expected_count=0)
-        assert recorder.summary().is_empty
-        recorder.record(0.0, 5.0, label="get")
-        assert recorder.summary(label="scan").is_empty
-        assert not recorder.summary(label="get").is_empty
-
-    def test_all_warmup_summary_is_empty(self):
-        recorder = StreamingLatencyRecorder(
-            expected_count=10, warmup_fraction=0.5
-        )
-        for index in range(5):
-            recorder.record(float(index), 1.0)
-        assert len(recorder) == 5
-        assert recorder.summary().is_empty
-
-    def test_tracks_exact_recorder_within_bucket_ratio(self):
-        exact = LatencyRecorder()
-        streaming = StreamingLatencyRecorder(expected_count=2_000)
-        rng = np.random.default_rng(5)
-        for index, latency in enumerate(
-            rng.lognormal(mean=2.0, sigma=1.0, size=2_000)
-        ):
-            exact.record(float(index), float(latency))
-            streaming.record(float(index), float(latency))
-        ratio = 2.0 ** (1.0 / 64)
-        a, b = exact.summary(), streaming.summary()
-        assert b.mean == pytest.approx(a.mean)
-        for exact_q, approx_q in ((a.p50, b.p50), (a.p99, b.p99)):
-            assert exact_q / ratio <= approx_q <= exact_q * ratio
 
 
 class TestSweeps:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.queueing import (
+    RandomRouter,
     kernel_sojourn_times,
     mg1_mean_sojourn,
     mm1_mean_sojourn,
@@ -16,7 +17,9 @@ from repro.queueing import (
     mmc_mean_sojourn,
     poisson_arrivals,
     simulate_fifo_queue,
+    simulate_routed_queues,
     sojourn_times,
+    spray_departures,
 )
 
 
@@ -69,6 +72,20 @@ class TestValidation:
     def test_bad_server_count(self):
         with pytest.raises(ValueError):
             simulate_fifo_queue(np.zeros(1), np.zeros(1), 0)
+
+    @pytest.mark.parametrize("servers", [True, 2.5])
+    def test_server_count_must_be_an_integer(self, servers):
+        with pytest.raises(ValueError, match="num_servers must be an integer"):
+            simulate_fifo_queue(np.arange(4.0), np.ones(4), servers)
+
+    def test_nan_services_rejected(self):
+        with pytest.raises(ValueError, match="service times must be finite"):
+            simulate_fifo_queue(np.arange(10.0), np.full(10, np.nan), 2)
+
+    def test_infinite_arrivals_rejected(self):
+        arrivals = np.array([0.0, 1.0, np.inf])
+        with pytest.raises(ValueError, match="arrival_times must be finite"):
+            simulate_fifo_queue(arrivals, np.ones(3), 2)
 
     def test_bad_warmup(self):
         with pytest.raises(ValueError):
@@ -167,3 +184,28 @@ class TestPoissonArrivals:
             poisson_arrivals(rng, rate=0.0, count=1)
         with pytest.raises(ValueError):
             poisson_arrivals(rng, rate=1.0, count=-1)
+
+    @pytest.mark.parametrize("rate", [np.inf, np.nan])
+    def test_non_finite_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="positive and finite"):
+            poisson_arrivals(np.random.default_rng(17), rate, 3)
+
+
+class TestSprayDepartures:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("load", [0.4, 0.6, 0.8])
+    def test_matches_random_router(self, seed, load):
+        # Model 16x1: one batched integers() draw equals the random
+        # router's per-arrival scalar draws, so the sojourns are equal.
+        n = 5_000
+        rng = np.random.default_rng(seed)
+        arrivals = poisson_arrivals(rng, 16.0 * load, n)
+        services = rng.exponential(1.0, n)
+        routed = simulate_routed_queues(
+            arrivals, services, 16, 1, RandomRouter(),
+            np.random.default_rng(seed + 1),
+        )
+        sprayed = spray_departures(
+            arrivals, services, 16, 1, np.random.default_rng(seed + 1)
+        ) - arrivals
+        assert np.array_equal(sprayed, routed)

@@ -16,6 +16,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             QueueingSystem(0, 16, Exponential(1.0))
 
+    @pytest.mark.parametrize("shape", [(2.5, 4), (2, True)], ids=["float-Q", "bool-U"])
+    def test_non_integer_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="must be an integer"):
+            QueueingSystem(*shape, Exponential(1.0))
+
     def test_label(self):
         assert QueueingSystem(4, 4, Exponential(1.0)).label == "4x4"
 
@@ -73,6 +78,11 @@ class TestRun:
         system = QueueingSystem(1, 16, Exponential(1.0))
         with pytest.raises(ValueError):
             system.run(load=0.0)
+
+    def test_infinite_load_rejected(self):
+        system = QueueingSystem(4, 4, Exponential(1.0))
+        with pytest.raises(ValueError, match="positive and finite"):
+            system.run(load=float("inf"), num_requests=1_000)
 
     def test_invalid_requests(self):
         system = QueueingSystem(1, 16, Exponential(1.0))

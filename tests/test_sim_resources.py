@@ -71,10 +71,6 @@ class TestStore:
 
     def test_len_and_items(self, env):
         qp = QueuePair(0)
-        qp.post_wqe(1)
-        qp.post_wqe(2)
-        assert len(qp.wq) == 2
-        assert list(qp.wq) == [1, 2]
         # With no core polling it, the CQ holds every posted entry.
         qp.post_cqe("x")
         qp.post_cqe("y")

@@ -88,6 +88,17 @@ def test_histogram_rejects_negative():
         Histogram().record_many(np.array([1.0, -2.0]))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_histogram_rejects_non_finite(value):
+    message = f"must be finite and >= 0, got {value!r}"
+    h = Histogram()
+    with pytest.raises(ValueError, match=message):
+        h.record(value)
+    with pytest.raises(ValueError, match=message):
+        h.record_many(np.array([1.0, value]))
+    assert h.count == 0 and h.counts == {}
+
+
 def test_histogram_quantile_relative_error_bound():
     """Quantiles are within one bucket ratio of the exact value."""
     rng = np.random.default_rng(7)
