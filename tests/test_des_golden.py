@@ -12,7 +12,8 @@ The grid covers every per-RPC path: fixed (exact ties between
 independent chains), exponential and HERD service under the paper's
 five schemes, each at a sub-critical and a saturated load; interference
 stalls; rendezvous requests; pooled send slots with stalls; closed-loop
-clients; interleaved one-sided traffic; a telemetry-instrumented point;
+clients; interleaved one-sided traffic, also under fixed service past
+saturation with telemetry on; a telemetry-instrumented point;
 and 16-node clusters: fault-free (JSQ(2) with piggybacked reports, a
 Zipf-skewed random spray whose senders stall for credits, a traced
 broadcast run), retry-only on heterogeneous nodes, and faulted.
@@ -359,6 +360,15 @@ CASES.update(
         "onesided": lambda: _open_loop(
             "1x16", "herd", 22.0, onesided_every_ns=150.0
         ),
+        # Fixed service past saturation with ingress queued behind
+        # one-sided payloads and reply egress at every backend.
+        "onesided-fixed-telemetry": lambda: _open_loop(
+            "1x16",
+            "synthetic-fixed",
+            16.0,
+            onesided_every_ns=50.0,
+            telemetry=True,
+        ),
         "telemetry": lambda: _open_loop(
             "16x1", "synthetic-exponential", 12.0, telemetry=True
         ),
@@ -565,6 +575,21 @@ GOLDEN = {'closed-loop': {'backend_busy_ns': (16950.0, 16560.0, 17040.0, 16650.0
                        'p99': 1163.8188442100616,
                        'processed': (93, 97, 95, 92, 94, 96, 93, 94, 93, 92, 94, 95, 95, 93, 93, 91),
                        'stalled': 0},
+          'onesided-fixed-telemetry': {'backend_busy_ns': (23766.0, 23706.0, 23556.0, 23472.0),
+                                       'backend_depth_hist': (1500, 1213, 358.0, 4,
+                                                              ((0, 234), (7, 41), (12, 6), (15, 6))),
+                                       'completed': 1500,
+                                       'max_private_cq_depth': 0,
+                                       'max_shared_cq_depth': 257,
+                                       'messages': '3afca85621a41a245a81',
+                                       'onesided': (94, 94, 94, 93),
+                                       'p50': 11333.494314805135,
+                                       'p99': 20345.879356805395,
+                                       'private_cq_hist': (1500, 1500, 0.0, 0, ()),
+                                       'processed': (95, 94, 94, 94, 94, 94, 94, 94, 94, 94, 93, 93,
+                                                     94, 93, 93, 93),
+                                       'series': '053252421cc97a7c3076',
+                                       'stalled': 0},
           'rendezvous': {'backend_busy_ns': (14865.0, 14325.0, 13845.0, 15465.0),
                          'completed': 1500,
                          'max_private_cq_depth': 0,
