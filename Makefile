@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench figures figures-full validate examples trace loc clean
+.PHONY: install test bench figures figures-full validate examples trace loc ab clean
 
 install:
 	pip install -e .[dev] || $(PYTHON) setup.py develop
@@ -47,6 +47,39 @@ loc:
 			'$$1 != "-" { add += $$1; del += $$2 } \
 			END { printf "%-6s +%d -%d net %+d\n", dir "/", add, del, add - del }'; \
 	done
+
+# Interleaved A/B of the benchmark suite: BASE, checked out into a
+# temporary git worktree, against this working tree. Each of PAIRS
+# pairs runs benchmarks/suite/run.py once per side (one untraced round
+# plus a traced one), the side that goes first alternating; then
+# compare.py --pairs, base first. Both sides compile from source (no
+# __pycache__ kept or written). Refuses when benchmarks/suite/ differs
+# between the two trees. Informational, not a gate.
+WORKLOADS ?= des-chip
+PAIRS ?= 10
+SEED ?= 1
+ab:
+	@if ! git diff --quiet $(BASE) -- benchmarks/suite; then \
+		echo "ab: benchmarks/suite/ differs between $(BASE) and the working tree" >&2; \
+		exit 1; \
+	fi; \
+	tmp=$$(mktemp -d) || exit 1; \
+	trap 'git worktree remove --force "$$tmp/base" 2>/dev/null; rm -rf "$$tmp"' EXIT; \
+	git worktree add --detach --quiet "$$tmp/base" $(BASE) || exit 1; \
+	find src "$$tmp/base/src" -name __pycache__ -type d -prune -exec rm -rf {} +; \
+	files=; \
+	for i in $$(seq 1 $(PAIRS)); do \
+		if [ $$((i % 2)) -eq 1 ]; then order="base new"; else order="new base"; fi; \
+		for side in $$order; do \
+			if [ $$side = base ]; then tree="$$tmp/base"; else tree="$(CURDIR)"; fi; \
+			echo "ab: pair $$i/$(PAIRS), $$side"; \
+			(cd "$$tree" && PYTHONDONTWRITEBYTECODE=1 $(PYTHON) benchmarks/suite/run.py \
+				--workloads $(WORKLOADS) --seed $(SEED) --rounds 1 \
+				--out "$$tmp/$$side-$$i.json" > /dev/null) || exit 1; \
+		done; \
+		files="$$files $$tmp/base-$$i.json $$tmp/new-$$i.json"; \
+	done; \
+	$(PYTHON) benchmarks/suite/compare.py --pairs $$files
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache \

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-import numpy as np
-
 from ..metrics import LatencyRecorder
 from ..sim import Environment, RngRegistry
 from .backend import NIBackend
@@ -262,7 +260,3 @@ class Chip:
     def total_cqe_depth_high_water(self) -> int:
         """Max private-CQ depth observed across cores."""
         return max(core.qp.max_cq_depth for core in self.cores)
-
-    def core_utilizations(self) -> np.ndarray:
-        """Busy fraction per core over the elapsed simulated time."""
-        return np.array([core.utilization_of for core in self.cores])

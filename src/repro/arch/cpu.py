@@ -71,15 +71,8 @@ class Core:
         self.qp.core = self
         #: True from a request's pickup until the core pulls its next CQE.
         self.busy = False
-        #: Observability: processed count and busy time (for utilization).
+        #: Observability: requests processed.
         self.processed = 0
-        self.busy_ns = 0.0
-
-    @property
-    def utilization_of(self) -> float:
-        """Busy fraction of elapsed simulated time."""
-        now = self.chip.env.now
-        return self.busy_ns / now if now > 0 else 0.0
 
     def start(self, msg: SendMessage) -> None:
         """Pick up ``msg`` from the CQ and run it to its replenish."""
@@ -101,13 +94,12 @@ class Core:
         post = post_ns + chip.per_request_core_overhead_ns
         msg.t_start = env.now + pre
         occupancy = pre + msg.service_ns + post
-        env.schedule_call(occupancy, self._finish, msg, occupancy)
+        env.schedule_call(occupancy, self._finish, msg)
 
-    def _finish(self, msg: SendMessage, occupancy: float) -> None:
+    def _finish(self, msg: SendMessage) -> None:
         msg.t_replenish = self.chip.env.now
         msg.core_id = self.core_id
         self.processed += 1
-        self.busy_ns += occupancy
         self.chip.complete_request(msg, self)
         cq = self.qp.cq
         if cq:

@@ -180,9 +180,9 @@ def fast_chip_point(
     ``profile`` is the ``(occupancy_ns, shift_ns)`` split from
     :func:`calibrated_chip_profile`: occupancy is added to every
     service time (it contends for cores), the shift to every sojourn
-    (NI pipeline stages overlapped with other requests). Warmup and
-    achieved-throughput semantics mirror ``RpcValetSystem.run_point``
-    (completion-time quantile cutoff).
+    (NI pipeline stages overlapped with other requests). As in
+    ``RpcValetSystem.run_point``, the warmup cutoff and throughput count
+    every class, the summary only the ``slo_label`` class (if drawn).
     """
     from ..sim import RngRegistry
 
@@ -203,7 +203,7 @@ def fast_chip_point(
     else:
         gaps = arrival_rng.exponential(1e3 / offered_mrps, size=n)
     arrivals = np.cumsum(gaps)
-    base, _labels = workload.sample_batch(rngs.stream("service"), n)
+    base, labels = workload.sample_batch(rngs.stream("service"), n)
     services = base + occupancy_ns
     departures = _scheme_departures(
         scheme, arrivals, services, rngs.stream("group_spray")
@@ -216,10 +216,13 @@ def fast_chip_point(
         if warmup_fraction > 0
         else 0.0
     )
+    measured = departures > cutoff
+    if len(set(labels)) > 1 and workload.slo_label in labels:
+        measured &= np.array(labels) == workload.slo_label
     return SweepPoint(
         offered_load=float(offered_mrps),
         achieved_throughput=_achieved_mrps(departures, cutoff),
-        summary=LatencySummary.from_values(sojourns[departures > cutoff]),
+        summary=LatencySummary.from_values(sojourns[measured]),
         extra={
             "mean_service_ns": float(services.mean()),
             "stall_fraction": 0.0,

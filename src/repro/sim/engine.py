@@ -33,7 +33,7 @@ class Environment:
         Starting value of the simulation clock.
     """
 
-    __slots__ = ("now", "_queue", "_eid", "_next_eid", "_sampler")
+    __slots__ = ("now", "_queue", "_eid", "_next_eid", "_sampler", "_booked")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         #: Current simulation time. A plain attribute that only the run
@@ -48,6 +48,7 @@ class Environment:
         #: this call, so skip the iterator-protocol dispatch.
         self._next_eid = self._eid.__next__
         self._sampler = None
+        self._booked: List[Any] = []
 
     # -- telemetry ------------------------------------------------------------
 
@@ -81,6 +82,18 @@ class Environment:
             raise ValueError(f"delay must be a number >= 0, got {delay!r}")
         heappush(self._queue, (self.now + delay, self._next_eid(), fn, args))
 
+    def schedule_at(self, when: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Invoke ``fn(*args)`` at time ``when``, which ``now + (when - now)``
+        need not round back to. A NaN or past ``when`` raises ValueError."""
+        if not when >= self.now:
+            raise ValueError(f"when must be a time not before now ({self.now}), got {when!r}")
+        heappush(self._queue, (when, self._next_eid(), fn, args))
+
+    def add_booked_server(self, server: Any) -> None:
+        """Register a server that books its occupancy up to
+        ``server.free_at`` instead of scheduling it (see :meth:`run`)."""
+        self._booked.append(server)
+
     def peek(self) -> float:
         """Time of the next scheduled call, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
@@ -90,37 +103,28 @@ class Environment:
 
         ``until`` may be ``None`` — run until the schedule is exhausted —
         or a time: process every call due at or before it, then leave
-        the clock there if calls remain (an exhausted schedule leaves
-        the clock at the last call). An exception raised by a call
+        the clock there if calls remain. An exhausted schedule leaves
+        the clock at the last call or, if later, where the booked
+        servers' work ends (at most ``until``), sampling the ticks up to
+        it as a call there would. An exception raised by a call
         propagates out of :meth:`run`; the schedule keeps the calls not
         yet processed.
         """
         queue = self._queue
         pop = heappop
         sampler = self._sampler
-        if until is None:
-            # Drain the schedule with no stop check per call — the
-            # arch simulator's only mode and the hottest loop here.
-            if sampler is None:
-                while queue:
-                    when, _seq, fn, args = pop(queue)
-                    self.now = when
-                    fn(*args)
-                return
-            # Telemetry variant: poll the periodic sampler before each
-            # call whose time passes its next tick.
-            while queue:
-                when, _seq, fn, args = pop(queue)
-                if when >= sampler.next_at:
-                    sampler.advance(when)
-                self.now = when
-                fn(*args)
-            return
-        stop_at = float(until)
+        stop_at = float("inf") if until is None else float(until)
         if not stop_at >= self.now:
             raise ValueError(
                 f"until ({stop_at}) must be a time not before now ({self.now})"
             )
+        if until is None and sampler is None:
+            # Drain the schedule with no stop or sampler check per call
+            # — the arch simulator's only mode and the hottest loop here.
+            while queue:
+                when, _seq, fn, args = pop(queue)
+                self.now = when
+                fn(*args)
         while queue:
             if queue[0][0] > stop_at:
                 self.now = stop_at
@@ -130,3 +134,9 @@ class Environment:
                 sampler.advance(when)
             self.now = when
             fn(*args)
+        if self._booked:
+            end = min(max(server.free_at for server in self._booked), stop_at)
+            if end > self.now:
+                if sampler is not None and end >= sampler.next_at:
+                    sampler.advance(end)
+                self.now = end

@@ -49,6 +49,7 @@ class TelemetryHub:
         self.histograms: Dict[str, Histogram] = {}
         self.series: Dict[str, TimeSeries] = {}
         self._probes: List[Tuple[TimeSeries, Callable[[], float]]] = []
+        self.sampler: Optional["PeriodicSampler"] = None  # see make_sampler
 
     # -- primitive registry ----------------------------------------------------
 
@@ -93,7 +94,8 @@ class TelemetryHub:
         """Build the periodic sampler, or None if there is nothing to do."""
         if self.sample_interval is None or not self._probes:
             return None
-        return PeriodicSampler(self._probes, self.sample_interval, start=start)
+        self.sampler = PeriodicSampler(self._probes, self.sample_interval, start=start)
+        return self.sampler
 
     # -- snapshotting -----------------------------------------------------------
 
@@ -120,7 +122,7 @@ class PeriodicSampler:
     the simulation has events — the run still terminates naturally.
     """
 
-    __slots__ = ("interval", "next_at", "_probes")
+    __slots__ = ("interval", "next_at", "tick", "_probes")
 
     def __init__(
         self,
@@ -132,6 +134,8 @@ class PeriodicSampler:
             raise ValueError(f"interval must be positive, got {interval!r}")
         self.interval = interval
         self.next_at = start + interval
+        #: The tick being sampled (``env.now`` is the last call's time).
+        self.tick = start
         self._probes = probes
 
     def advance(self, now: float) -> None:
@@ -140,6 +144,7 @@ class PeriodicSampler:
         interval = self.interval
         tick = self.next_at
         while tick <= now:
+            self.tick = tick
             for series, read in probes:
                 series.append(tick, read())
             tick += interval

@@ -85,9 +85,10 @@ def instrument_chip(chip: "Chip", hub: TelemetryHub) -> TelemetryHub:
                 lambda d=dispatcher, c=core_id: d.outstanding[c],
             )
     for backend in chip.backends:
+        # Backends book work ahead of the clock: read it as of the tick.
         hub.add_probe(
             f"backend[{backend.backend_id}].pipeline",
-            lambda b=backend: b.queue_depth,
+            lambda b=backend, h=hub: b.queue_depth(h.sampler.tick),
         )
     hub.add_probe("recv_slots", lambda rb=chip.receive_buffer: rb.occupied)
     return hub

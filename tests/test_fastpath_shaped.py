@@ -32,7 +32,8 @@ from repro.popload import (
     NonhomogeneousPoisson,
     StationaryPoisson,
 )
-from repro.workloads import HerdWorkload
+from repro.sim import RngRegistry
+from repro.workloads import HerdWorkload, MasstreeWorkload
 
 MEAN_SERVICE_NS = 553.7
 
@@ -102,6 +103,47 @@ class TestFastChipShaped:
             arrival_process=_flash(23.0, 3000 / 23.0 * 1e3),
         )
         assert shaped.summary.p99 > flat.summary.p99
+
+
+class TestFastChipSloClass:
+    """Like ``RpcValetSystem.run_point``, the fast chip point summarizes
+    the SLO class only; the warm-up cutoff and the throughput count
+    every completion."""
+
+    REQUESTS = 4_000
+
+    def _point(self, slo_label, warmup_fraction=0.1):
+        workload = MasstreeWorkload()
+        workload.slo_label = slo_label
+        return fast_chip_point(
+            "1x16",
+            workload,
+            3.0,
+            self.REQUESTS,
+            1,
+            (500.0, 300.0),
+            warmup_fraction=warmup_fraction,
+        )
+
+    def test_summary_counts_the_slo_class_only(self):
+        _, labels = MasstreeWorkload().sample_batch(
+            RngRegistry(1).stream("service"), self.REQUESTS
+        )
+        point = self._point("get", warmup_fraction=0.0)
+        assert 0 < point.summary.count == labels.count("get") < self.REQUESTS
+
+    def test_cutoff_and_throughput_cover_every_class(self):
+        gets, scans = self._point("get"), self._point("scan")
+        # A label that was never drawn falls back to every class.
+        every = self._point("none")
+        assert gets.summary.count + scans.summary.count == every.summary.count
+        assert (
+            gets.achieved_throughput
+            == scans.achieved_throughput
+            == every.achieved_throughput
+        )
+        # Scans are ~100x longer than gets: they must not set the tail.
+        assert gets.summary.p99 < every.summary.p99 / 5
 
 
 class TestFastClusterShaped:

@@ -119,11 +119,67 @@ class TestDelayedCall:
         assert env._next_eid() == 10
 
 
+class TestScheduleAt:
+    def test_fires_at_the_exact_time(self, env):
+        # A delay would be recomputed as now + (when - now), which need
+        # not round back to ``when``.
+        fired = []
+        env.schedule_call(0.7, env.schedule_at, 2.9, lambda: fired.append(env.now))
+        env.run()
+        assert fired == [2.9]
+        assert 0.7 + (2.9 - 0.7) != 2.9
+
+    def test_same_time_calls_fire_in_scheduling_order(self, env):
+        order = []
+        env.schedule_at(2.0, order.append, "first")
+        env.schedule_call(2.0, order.append, "second")
+        env.run()
+        assert order == ["first", "second"]
+
+
+class _Booked:
+    """A booked server: busy until ``free_at``, with no call scheduled."""
+
+    def __init__(self, free_at):
+        self.free_at = free_at
+
+
+class TestBookedServers:
+    def test_drained_clock_moves_on_to_the_latest_free_at(self, env):
+        env.add_booked_server(_Booked(7.0))
+        env.add_booked_server(_Booked(12.0))
+        env.schedule_call(3.0, lambda: None)
+        env.run()
+        assert env.now == 12.0
+
+    def test_free_at_in_the_past_leaves_the_clock(self, env):
+        env.add_booked_server(_Booked(1.0))
+        env.schedule_call(3.0, lambda: None)
+        env.run()
+        assert env.now == 3.0
+
+    def test_until_caps_the_settled_clock(self, env):
+        env.add_booked_server(_Booked(50.0))
+        env.schedule_call(3.0, lambda: None)
+        env.run(until=20.0)
+        assert env.now == 20.0
+        env.run()
+        assert env.now == 50.0
+
+
 class TestRejectsBadTimes:
     @pytest.mark.parametrize("delay", [-1, -1e-9, math.nan, -math.inf])
     def test_bad_delay_rejected(self, env, delay):
         with pytest.raises(ValueError):
             env.schedule_call(delay, lambda: None)
+        assert env.peek() == math.inf
+
+    @pytest.mark.parametrize("when", [math.nan, 4.999, -math.inf])
+    def test_bad_absolute_time_rejected(self, env, when):
+        env.schedule_call(5.0, lambda: None)
+        env.run()
+        with pytest.raises(ValueError):
+            env.schedule_at(when, lambda: None)
         assert env.peek() == math.inf
 
     def test_nan_delay_cannot_jump_the_queue(self, env):
