@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench figures figures-full validate examples trace loc ab clean
+.PHONY: install test bench figures figures-full validate examples trace loc reach ab clean
 
 install:
 	pip install -e .[dev] || $(PYTHON) setup.py develop
@@ -47,6 +47,13 @@ loc:
 			'$$1 != "-" { add += $$1; del += $$2 } \
 			END { printf "%-6s +%d -%d net %+d\n", dir "/", add, del, add - del }'; \
 	done
+
+# Function-body lines in src/repro that no driver, example or artifact
+# main enters, per module and in total (tools/reach.py: cProfile in one
+# process, every CLI option switched on once; a few minutes).
+# Informational, not a gate.
+reach:
+	$(PYTHON) tools/reach.py
 
 # Interleaved A/B of the benchmark suite: BASE, checked out into a
 # temporary git worktree, against this working tree. Each of PAIRS

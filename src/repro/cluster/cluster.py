@@ -557,6 +557,10 @@ class ClusterResult:
     per_node: List[LatencySummary]
     total_throughput_mrps: float
     stall_fractions: List[float]
+    #: RPC executions summed over every node: the server-side count.
+    #: On the DES it includes retried duplicates and attempts whose reply
+    #: a crash or fabric drop suppressed. The client-side count of
+    #: logical RPCs that completed is ``fault_stats.completed``.
     completed: int
     #: RPCs completed at each node (the server-side view of routing).
     per_node_completed: List[int] = field(default_factory=list)

@@ -19,13 +19,13 @@ the fidelity of this layer the two coincide, so both are
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..faults import FaultPlan
 from ..faults.plan import NodeCrash
 from .topology import DatacenterTopology
 
-__all__ = ["rack_power_loss", "merge_plans"]
+__all__ = ["rack_power_loss"]
 
 
 def rack_power_loss(
@@ -48,29 +48,3 @@ def rack_power_loss(
         for node in topology.members(rack)
     ))
 
-
-def merge_plans(plans: Iterable[FaultPlan]) -> FaultPlan:
-    """Combine explicit-event plans into one (events concatenated).
-
-    Only explicit events merge — rate-based noise fields must agree
-    with the defaults, because summing rates across plans has no
-    single right answer and silently keeping one plan's rates would
-    mis-state the scenario.
-    """
-    merged: tuple = ()
-    reference = FaultPlan()
-    for plan in plans:
-        for field in (
-            "crash_rate_hz",
-            "slowdown_rate_hz",
-            "drop_prob",
-            "dup_prob",
-            "spike_prob",
-        ):
-            if getattr(plan, field) != getattr(reference, field):
-                raise ValueError(
-                    f"merge_plans only merges explicit events; plan has "
-                    f"non-default {field}"
-                )
-        merged += plan.events
-    return FaultPlan(events=merged)

@@ -11,15 +11,12 @@ from .catalog import (
     SYNTHETIC_EXTRA_MEAN_NS,
     SYNTHETIC_KINDS,
     herd,
-    masstree,
     masstree_get,
     masstree_scan,
     synthetic,
 )
 from .cdf import CdfDistribution, datamining, dist_from_file, websearch
-from .empirical import Empirical, HistogramDistribution
-from .mixture import Mixture
-from .parametric import Gamma, LogNormal, Pareto, Weibull
+from .parametric import Gamma
 from .synthetic import GEV, Exponential, Fixed, Uniform
 
 __all__ = [
@@ -31,19 +28,12 @@ __all__ = [
     "Exponential",
     "GEV",
     "Gamma",
-    "LogNormal",
-    "Weibull",
-    "Pareto",
-    "Mixture",
-    "Empirical",
-    "HistogramDistribution",
     "CdfDistribution",
     "dist_from_file",
     "websearch",
     "datamining",
     "synthetic",
     "herd",
-    "masstree",
     "masstree_get",
     "masstree_scan",
     "SYNTHETIC_KINDS",

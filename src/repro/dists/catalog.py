@@ -6,13 +6,13 @@ of the paper's experiments, in nanoseconds:
 * :func:`synthetic` — 300ns base + 300ns-mean extra (Fig. 6a)
 * :func:`herd` — HERD KV-store processing, mean 330ns (Fig. 6b)
 * :func:`masstree_get` — Masstree get, mean 1.25µs (Fig. 6c)
-* :func:`masstree` — the full 99% gets / 1% scans (60–120µs) mixture
+* :func:`masstree_scan` — Masstree scan, 60–120µs; ``MasstreeWorkload``
+  mixes the two at ``MASSTREE_SCAN_FRACTION``
 """
 
 from __future__ import annotations
 
 from .base import Distribution, Shifted
-from .mixture import Mixture
 from .parametric import Gamma
 from .synthetic import GEV, Exponential, Fixed, Uniform
 
@@ -29,7 +29,6 @@ __all__ = [
     "herd",
     "masstree_get",
     "masstree_scan",
-    "masstree",
 ]
 
 #: The four synthetic service-time shapes evaluated throughout the paper.
@@ -111,21 +110,3 @@ def masstree_scan() -> Distribution:
     dist = Uniform(low, high)
     dist.name = "masstree_scan"
     return dist
-
-
-def masstree(scan_fraction: float = MASSTREE_SCAN_FRACTION) -> Mixture:
-    """The full Masstree request mix: gets + ``scan_fraction`` scans.
-
-    Component 0 is gets, component 1 is scans; experiments use the
-    component index to compute the gets-only tail latency (the paper
-    does "not consider the scan operations latency critical").
-    """
-    if not 0 < scan_fraction < 1:
-        raise ValueError(f"scan_fraction must be in (0, 1), got {scan_fraction!r}")
-    return Mixture(
-        [
-            (1.0 - scan_fraction, masstree_get()),
-            (scan_fraction, masstree_scan()),
-        ],
-        name="masstree",
-    )

@@ -22,7 +22,9 @@ published flow-size CDFs, which start at a minimum size).
 Two curves ship as packaged data (``repro/dists/data/*.csv``):
 :func:`websearch` and :func:`datamining`, shaped after the widely used
 web-search and data-mining DC workload CDFs, rescaled to nanoseconds
-of service time at µs scale.
+of service time at µs scale. No figure driver uses them; they stay as
+workloads selectable by name (``make_system(..., "websearch")``) for
+heavy-tailed service beyond the paper's four synthetic shapes.
 """
 
 from __future__ import annotations

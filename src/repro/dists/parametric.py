@@ -1,10 +1,9 @@
-"""Additional parametric families.
+"""The Gamma family.
 
-Gamma and LogNormal model the *measured* processing-time histograms of
-HERD (Fig. 6b) and Masstree gets (Fig. 6c), for which the paper replays
+Gamma models the *measured* processing-time histograms of HERD
+(Fig. 6b) and Masstree gets (Fig. 6c), for which the paper replays
 empirical data we do not have; see DESIGN.md §2 for the substitution
-argument. Weibull and Pareto are provided as extensions for users who
-want to explore other variability regimes.
+argument.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 
 from .base import Distribution
 
-__all__ = ["Gamma", "LogNormal", "Weibull", "Pareto"]
+__all__ = ["Gamma"]
 
 
 class Gamma(Distribution):
@@ -63,129 +62,4 @@ class Gamma(Distribution):
             density = np.where(
                 x > 0, coef * x ** (k - 1.0) * np.exp(-x / theta), 0.0
             )
-        return np.nan_to_num(density, nan=0.0)
-
-
-class LogNormal(Distribution):
-    """Log-normal with underlying normal parameters ``mu``/``sigma``."""
-
-    name = "lognormal"
-
-    def __init__(self, mu: float, sigma: float) -> None:
-        if sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {sigma!r}")
-        self.mu = float(mu)
-        self.sigma = float(sigma)
-
-    @classmethod
-    def from_mean_std(cls, mean: float, std: float) -> "LogNormal":
-        """Construct from the distribution's own mean and std."""
-        if mean <= 0 or std <= 0:
-            raise ValueError("mean and std must be positive")
-        variance_ratio = 1.0 + (std / mean) ** 2
-        sigma = math.sqrt(math.log(variance_ratio))
-        mu = math.log(mean) - 0.5 * sigma * sigma
-        return cls(mu=mu, sigma=sigma)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return rng.lognormal(self.mu, self.sigma)
-
-    def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.lognormal(self.mu, self.sigma, size=n)
-
-    @property
-    def mean(self) -> float:
-        return math.exp(self.mu + 0.5 * self.sigma**2)
-
-    @property
-    def variance(self) -> float:
-        s2 = self.sigma**2
-        return (math.exp(s2) - 1.0) * math.exp(2.0 * self.mu + s2)
-
-    def pdf(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            logx = np.log(np.where(x > 0, x, 1.0))
-            density = np.where(
-                x > 0,
-                np.exp(-((logx - self.mu) ** 2) / (2 * self.sigma**2))
-                / (x * self.sigma * math.sqrt(2 * math.pi)),
-                0.0,
-            )
-        return np.nan_to_num(density, nan=0.0)
-
-
-class Weibull(Distribution):
-    """Weibull with ``shape`` k and ``scale`` λ."""
-
-    name = "weibull"
-
-    def __init__(self, shape: float, scale: float) -> None:
-        if shape <= 0 or scale <= 0:
-            raise ValueError(f"shape and scale must be positive, got {shape!r}, {scale!r}")
-        self.shape = float(shape)
-        self.scale = float(scale)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return self.scale * rng.weibull(self.shape)
-
-    def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.scale * rng.weibull(self.shape, size=n)
-
-    @property
-    def mean(self) -> float:
-        return self.scale * math.gamma(1.0 + 1.0 / self.shape)
-
-    @property
-    def variance(self) -> float:
-        g1 = math.gamma(1.0 + 1.0 / self.shape)
-        g2 = math.gamma(1.0 + 2.0 / self.shape)
-        return self.scale**2 * (g2 - g1 * g1)
-
-    def pdf(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        k, lam = self.shape, self.scale
-        with np.errstate(invalid="ignore", divide="ignore"):
-            z = np.where(x > 0, x / lam, 0.0)
-            density = np.where(
-                x > 0, (k / lam) * z ** (k - 1.0) * np.exp(-(z**k)), 0.0
-            )
-        return np.nan_to_num(density, nan=0.0)
-
-
-class Pareto(Distribution):
-    """Pareto (type I) with ``alpha`` tail index and minimum ``xmin``."""
-
-    name = "pareto"
-
-    def __init__(self, alpha: float, xmin: float) -> None:
-        if alpha <= 0 or xmin <= 0:
-            raise ValueError(f"alpha and xmin must be positive, got {alpha!r}, {xmin!r}")
-        self.alpha = float(alpha)
-        self.xmin = float(xmin)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return self.xmin * (1.0 + rng.pareto(self.alpha))
-
-    def sample_array(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.xmin * (1.0 + rng.pareto(self.alpha, size=n))
-
-    @property
-    def mean(self) -> float:
-        if self.alpha <= 1:
-            return math.inf
-        return self.alpha * self.xmin / (self.alpha - 1.0)
-
-    @property
-    def variance(self) -> float:
-        if self.alpha <= 2:
-            return math.inf
-        a = self.alpha
-        return self.xmin**2 * a / ((a - 1.0) ** 2 * (a - 2.0))
-
-    def pdf(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        a, m = self.alpha, self.xmin
-        with np.errstate(invalid="ignore", divide="ignore"):
-            density = np.where(x >= m, a * m**a / x ** (a + 1.0), 0.0)
         return np.nan_to_num(density, nan=0.0)

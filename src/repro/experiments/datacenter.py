@@ -209,8 +209,10 @@ def _run_datacenter_task(task: _Task) -> Dict[str, object]:
         ),
     }
     if faulted:
+        # Client-side on both tiers: the DES ``result.completed`` also
+        # counts executions whose reply the rack outage suppressed.
         row["offered"] = int(result.offered)
-        row["completed"] = int(result.completed)
+        row["completed"] = int(result.fault_stats.completed)
         row["lost"] = int(result.lost)
         row["goodput_mrps"] = float(result.goodput_mrps)
         # Per-node availability: the fleet mean (outage cost spread

@@ -24,7 +24,7 @@ deterministic per-scenario seeds:
    dumb/smart routing: the paper's intra-server claim at rack scale.
 
 Every cluster run is telemetry-instrumented (per-node outstanding-load
-gauges, router decision counters, staleness-error histograms); the
+series, router decision counters, staleness-error histograms); the
 merged snapshot rides ``data["telemetry"]``.
 """
 

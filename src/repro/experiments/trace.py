@@ -9,7 +9,7 @@ capture and telemetry enabled, then writes three artifacts:
   per-RPC bars on NI/dispatcher/core tracks and queue-depth counter
   tracks land in one file; load it at https://ui.perfetto.dev;
 * ``rpcvalet.telemetry.jsonl`` — the merged telemetry snapshot, one
-  JSON object per counter/gauge/histogram/series;
+  JSON object per counter/histogram/series;
 * ``rpcvalet.manifest.json`` — run provenance (config, git SHA,
   versions, wall-clock), including a ``capture`` section that records
   how many messages the ``max_messages`` cap kept vs dropped.

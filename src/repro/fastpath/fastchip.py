@@ -175,7 +175,7 @@ def fast_chip_point(
     service draws, and core assignments to the DES run it stands in
     for: the engines differ only in the queueing model (calibrated
     FIFO vs per-event NI pipeline), which is what keeps the agreement
-    bands tight under diurnal/flash/MMPP shapes.
+    bands tight under diurnal/flash/population shapes.
 
     ``profile`` is the ``(occupancy_ns, shift_ns)`` split from
     :func:`calibrated_chip_profile`: occupancy is added to every

@@ -238,8 +238,8 @@ def simulate_rack_fast(
 
     ``arrival_process`` (any :class:`repro.popload.ArrivalProcess`)
     replaces each client's Poisson stream with the process's own
-    ``sample_gaps`` — diurnal/flash thinning, MMPP redraws, population
-    windows — one deterministic sweep per client. ``faults`` (a
+    ``sample_gaps`` — diurnal/flash thinning, population windows — one
+    deterministic sweep per client. ``faults`` (a
     :class:`repro.faults.FaultPlan`) runs the materialized timeline
     inside the sequential loop and populates the robust-mode result
     fields (``offered``/``lost``/``goodput_mrps``/``availability``/

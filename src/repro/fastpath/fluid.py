@@ -235,8 +235,8 @@ def simulate_cluster_fluid(
     :func:`fluid_transient_measure` and samples tagged customers at
     times proportional to lambda(t); ``random``/``rr`` take the ODE with
     d = 1 (random splitting) instead of the stationary Erlang-C path.
-    Processes without a deterministic intensity (MMPP, population) are
-    rejected — that is the ``arrivals:stochastic`` capability, which
+    Processes without a deterministic intensity (a population process
+    without a profile) are rejected — that is the ``arrivals:stochastic`` capability, which
     this tier does not have (see EXPERIMENTS.md "Engine tiers").
     """
     if num_nodes < 2:

@@ -49,11 +49,11 @@ DEFAULT_FLUID_THRESHOLD = 128
 #: the README/EXPERIMENTS.md table renders this):
 #:
 #: * ``arrivals:profile`` — arrivals shaped by a deterministic
-#:   :class:`~repro.popload.RateProfile` intensity (diurnal, flash,
-#:   piecewise). The fluid tier integrates the transient mean-field
+#:   :class:`~repro.popload.RateProfile` intensity (diurnal, flash).
+#:   The fluid tier integrates the transient mean-field
 #:   ODE against λ(t); the per-RPC tiers thin/redraw the real process.
 #: * ``arrivals:stochastic`` — arrival processes with no deterministic
-#:   intensity (MMPP state redraws, recorded traces): per-RPC only.
+#:   intensity (population windows without a profile): per-RPC only.
 #: * ``faults`` — :class:`~repro.faults.FaultPlan` timelines (crashes,
 #:   slowdowns, fabric degradation).
 #: * ``tracing`` — per-RPC span capture (``ext-tails``): instruments
@@ -100,8 +100,8 @@ def arrival_capability(arrival_process) -> Optional[str]:
     legacy Poisson stream. Profile-backed processes (a ``.profile``
     that is a :class:`~repro.popload.RateProfile`) expose the
     deterministic intensity λ(t) the fluid tier can integrate; anything
-    else (MMPP, recorded traces, third-party processes) is stochastic
-    and needs a per-RPC tier.
+    else (profile-less population windows, third-party processes) is
+    stochastic and needs a per-RPC tier.
     """
     if arrival_process is None:
         return None

@@ -1,4 +1,4 @@
-"""Measurement: latency recording, SLO extraction, load sweeps, tables."""
+"""Measurement: latency recording, SLO extraction, sweep curves, tables."""
 
 from .ascii_chart import ascii_chart, sweeps_chart
 from .breakdown import StageBreakdown, breakdown_from_messages
@@ -9,15 +9,8 @@ from .chrometrace import (
     telemetry_counter_events,
 )
 from .latency import LatencyRecorder, LatencySummary
-from .statistics import (
-    BatchMeansResult,
-    ImbalanceStats,
-    batch_means_ci,
-    cross_node_imbalance,
-    mser5_truncation,
-    slowdown_factors,
-)
-from .sweep import LoadSweep, SweepPoint, SweepResult, throughput_under_slo
+from .statistics import ImbalanceStats, cross_node_imbalance, slowdown_factors
+from .sweep import SweepPoint, SweepResult, throughput_under_slo
 from .tables import format_table, sweep_table, sweeps_csv
 
 __all__ = [
@@ -31,13 +24,9 @@ __all__ = [
     "export_chrome_trace",
     "LatencyRecorder",
     "LatencySummary",
-    "mser5_truncation",
-    "batch_means_ci",
-    "BatchMeansResult",
     "ImbalanceStats",
     "cross_node_imbalance",
     "slowdown_factors",
-    "LoadSweep",
     "SweepPoint",
     "SweepResult",
     "throughput_under_slo",

@@ -1,18 +1,6 @@
-"""Simulation output analysis: warmup truncation and confidence intervals.
+"""Cross-node summaries for rack-scale runs.
 
-Two standard DES-methodology tools the experiment harness (and any
-careful user) needs:
-
-* **MSER-5** [White 1997] — data-driven warmup truncation. The fixed
-  10% warmup the experiments default to is fine for the paper's
-  figures; MSER picks the truncation point that minimizes the standard
-  error of the remaining batch means, which adapts to slow ramp-ups.
-* **Batch means** — confidence intervals for the mean of an
-  autocorrelated latency series. Naive iid CIs are far too narrow for
-  queueing output; batching restores approximate independence.
-
-Rack-scale runs additionally need **cross-node summaries**: how
-unevenly did load or latency land across the cluster's nodes
+How unevenly did load or latency land across the cluster's nodes
 (:func:`cross_node_imbalance`), and how much slower is each node than
 the best one (:func:`slowdown_factors`)? Both are plain functions over
 per-node values so cluster results and the ``ext-rack`` tables share
@@ -21,16 +9,12 @@ one definition.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
 __all__ = [
-    "mser5_truncation",
-    "batch_means_ci",
-    "BatchMeansResult",
     "ImbalanceStats",
     "cross_node_imbalance",
     "slowdown_factors",
@@ -82,102 +66,3 @@ def slowdown_factors(values: Sequence[float]) -> List[float]:
     if best <= 0 or not np.isfinite(best):
         return [float("nan")] * array.size
     return [float(value) / best for value in array]
-
-
-def mser5_truncation(values: np.ndarray, batch_size: int = 5) -> int:
-    """MSER truncation index for a time-ordered series.
-
-    Groups the series into batches of ``batch_size``, then returns the
-    sample index (multiple of the batch size) whose removal minimizes
-    the marginal standard error of the remaining batch means. The
-    search is capped at half the series (truncating more than half
-    signals the run is too short, in which case 0 is returned and the
-    caller should lengthen the run instead).
-    """
-    data = np.asarray(values, dtype=float)
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size!r}")
-    if data.ndim != 1:
-        raise ValueError("expected a 1-D series")
-    num_batches = data.size // batch_size
-    if num_batches < 4:
-        return 0
-    batches = data[: num_batches * batch_size].reshape(num_batches, batch_size)
-    batch_means = batches.mean(axis=1)
-
-    best_index = 0
-    best_score = math.inf
-    for drop in range(num_batches // 2):
-        remaining = batch_means[drop:]
-        count = remaining.size
-        score = remaining.var(ddof=0) / count
-        if score < best_score:
-            best_score = score
-            best_index = drop
-    return best_index * batch_size
-
-
-@dataclass(frozen=True)
-class BatchMeansResult:
-    """Mean estimate with a batch-means confidence interval."""
-
-    mean: float
-    half_width: float
-    num_batches: int
-    batch_size: int
-
-    @property
-    def interval(self) -> Tuple[float, float]:
-        return (self.mean - self.half_width, self.mean + self.half_width)
-
-    def contains(self, value: float) -> bool:
-        low, high = self.interval
-        return low <= value <= high
-
-
-#: Two-sided 95% t quantiles for small df (df -> t); falls back to the
-#: normal 1.96 beyond the table.
-_T_95 = {
-    1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447,
-    7: 2.365, 8: 2.306, 9: 2.262, 10: 2.228, 15: 2.131, 20: 2.086,
-    30: 2.042, 60: 2.000,
-}
-
-
-def _t_quantile_95(df: int) -> float:
-    if df in _T_95:
-        return _T_95[df]
-    for threshold in sorted(_T_95, reverse=True):
-        if df >= threshold:
-            return _T_95[threshold]
-    return _T_95[1]
-
-
-def batch_means_ci(
-    values: np.ndarray, num_batches: int = 20
-) -> BatchMeansResult:
-    """95% CI for the mean of an autocorrelated series via batch means.
-
-    Splits the (time-ordered, post-warmup) series into ``num_batches``
-    contiguous batches; the batch means are approximately independent
-    for long enough batches, giving a valid t-interval.
-    """
-    data = np.asarray(values, dtype=float)
-    if num_batches < 2:
-        raise ValueError(f"need at least 2 batches, got {num_batches!r}")
-    if data.size < 2 * num_batches:
-        raise ValueError(
-            f"series of {data.size} too short for {num_batches} batches"
-        )
-    batch_size = data.size // num_batches
-    trimmed = data[: batch_size * num_batches]
-    batch_means = trimmed.reshape(num_batches, batch_size).mean(axis=1)
-    mean = float(batch_means.mean())
-    std_error = float(batch_means.std(ddof=1)) / math.sqrt(num_batches)
-    half_width = _t_quantile_95(num_batches - 1) * std_error
-    return BatchMeansResult(
-        mean=mean,
-        half_width=half_width,
-        num_batches=num_batches,
-        batch_size=batch_size,
-    )

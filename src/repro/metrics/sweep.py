@@ -1,20 +1,19 @@
 """Load sweeps: the throughput/tail curves behind every figure.
 
 Every evaluation figure in the paper plots p99 latency against offered
-or achieved throughput for a set of system configurations. A
-:class:`LoadSweep` drives one configuration across a list of load
-points; :class:`SweepResult` holds the resulting curve and extracts the
+or achieved throughput for a set of system configurations.
+:class:`SweepResult` holds one configuration's curve and extracts the
 paper's headline metric, *throughput under SLO*.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .latency import LatencySummary
 
-__all__ = ["SweepPoint", "SweepResult", "LoadSweep", "throughput_under_slo"]
+__all__ = ["SweepPoint", "SweepResult", "throughput_under_slo"]
 
 
 @dataclass(frozen=True)
@@ -65,21 +64,6 @@ class SweepResult:
         """
         return throughput_under_slo(self.points, slo)
 
-    def max_p99_before(self, throughput_limit: float) -> float:
-        """Largest p99 among points with throughput <= limit.
-
-        Used for "up to 4× lower tail latency before saturation"
-        comparisons between two curves.
-        """
-        candidates = [
-            point.p99
-            for point in self.points
-            if point.achieved_throughput <= throughput_limit
-        ]
-        if not candidates:
-            return float("nan")
-        return max(candidates)
-
 
 def throughput_under_slo(points: Sequence[SweepPoint], slo: float) -> float:
     """Max achieved throughput among ``points`` with p99 <= ``slo``."""
@@ -92,45 +76,3 @@ def throughput_under_slo(points: Sequence[SweepPoint], slo: float) -> float:
     ]
     return max(meeting) if meeting else 0.0
 
-
-class LoadSweep:
-    """Runs ``run_point(load) -> SweepPoint`` across a list of loads.
-
-    ``stop_when_saturated`` aborts the sweep once p99 exceeds
-    ``saturation_p99`` — points deep past saturation are expensive to
-    simulate (queues grow without bound) and add nothing to the figures.
-    """
-
-    def __init__(
-        self,
-        run_point: Callable[[float], SweepPoint],
-        loads: Sequence[float],
-        label: str = "sweep",
-        stop_when_saturated: bool = False,
-        saturation_p99: Optional[float] = None,
-    ) -> None:
-        if not loads:
-            raise ValueError("need at least one load point")
-        if any(load <= 0 for load in loads):
-            raise ValueError(f"loads must be positive, got {list(loads)}")
-        if stop_when_saturated and saturation_p99 is None:
-            raise ValueError("stop_when_saturated requires saturation_p99")
-        self._run_point = run_point
-        self._loads = list(loads)
-        self._label = label
-        self._stop_when_saturated = stop_when_saturated
-        self._saturation_p99 = saturation_p99
-
-    def run(self) -> SweepResult:
-        """Execute the sweep in increasing-load order."""
-        points: List[SweepPoint] = []
-        for load in sorted(self._loads):
-            point = self._run_point(load)
-            points.append(point)
-            if (
-                self._stop_when_saturated
-                and self._saturation_p99 is not None
-                and point.p99 > self._saturation_p99
-            ):
-                break
-        return SweepResult(label=self._label, points=points)

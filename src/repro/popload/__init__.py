@@ -1,12 +1,12 @@
-"""Population-driven workload generation (ROADMAP item 1).
+"""Population-driven workload generation.
 
 Offered load as a *process*: arrival streams produced by modeled user
-populations (diurnal cycles, flash crowds, modulated bursts), Zipf
-skew over sources and keys, and exact record/replay of any generated
-stream. Everything here feeds the existing ``TrafficGenerator`` /
-``Cluster`` entry points through the :class:`ArrivalProcess` protocol,
-so every chip-, rack-, and cluster-level experiment gets the new
-scenarios without touching its driver.
+populations (diurnal cycles, flash crowds, population windows) and Zipf
+skew over sources. Everything here feeds the existing
+``TrafficGenerator`` / ``Cluster`` entry points through the
+:class:`ArrivalProcess` protocol, so every chip-, rack-, and
+cluster-level experiment gets the new scenarios without touching its
+driver.
 
 See the README's "Population-driven load" section for the tour and
 ``ext-diurnal`` (:mod:`repro.experiments.diurnal`) for the headline
@@ -14,42 +14,27 @@ experiment.
 """
 
 from .arrivals import (
-    MMPP,
     ArrivalProcess,
     ConstantRate,
     DiurnalRate,
     FlashCrowdRate,
     NonhomogeneousPoisson,
-    PiecewiseConstantRate,
     PopulationProcess,
     RateProfile,
     StationaryPoisson,
     nonhomogeneous_poisson,
 )
-from .skew import ZipfPopularity, zipf_weights
-from .trace import (
-    RecordedArrivals,
-    load_arrival_trace,
-    record_arrivals,
-    save_arrival_trace,
-)
+from .skew import zipf_weights
 
 __all__ = [
     "ArrivalProcess",
     "StationaryPoisson",
     "NonhomogeneousPoisson",
-    "MMPP",
     "PopulationProcess",
     "RateProfile",
     "ConstantRate",
     "DiurnalRate",
     "FlashCrowdRate",
-    "PiecewiseConstantRate",
     "nonhomogeneous_poisson",
-    "ZipfPopularity",
     "zipf_weights",
-    "RecordedArrivals",
-    "record_arrivals",
-    "save_arrival_trace",
-    "load_arrival_trace",
 ]

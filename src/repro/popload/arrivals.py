@@ -4,7 +4,7 @@ The paper's §5 methodology drives the modeled chip with stationary
 Poisson arrivals at a hand-picked rate. Real services see load that
 *emerges* from a user population — diurnal swings, flash crowds,
 correlated bursts. This module defines the :class:`ArrivalProcess`
-protocol the traffic generators consume, plus the four concrete
+protocol the traffic generators consume, plus the three concrete
 processes the ``ext-diurnal`` experiment sweeps:
 
 * :class:`StationaryPoisson` — the paper's process. Bit-identical to
@@ -12,10 +12,8 @@ processes the ``ext-diurnal`` experiment sweeps:
   ``rng.exponential(mean_gap, size=n)`` call, consuming the named
   ``"arrivals"`` stream exactly like the historical code.
 * :class:`NonhomogeneousPoisson` — intensity follows a
-  :class:`RateProfile` (diurnal sinusoid, flash-crowd trapezoid,
-  piecewise-constant schedule); generated by Lewis–Shedler thinning.
-* :class:`MMPP` — a Markov-modulated Poisson process: the rate jumps
-  between states with exponential dwell times (correlated bursts).
+  :class:`RateProfile` (diurnal sinusoid, flash-crowd trapezoid);
+  generated by Lewis–Shedler thinning.
 * :class:`PopulationProcess` — AsyncFlow-style population model:
   ``active_users(t) × per-user rate``, with the user count re-sampled
   once per window and optionally scaled by a diurnal/flash profile.
@@ -32,7 +30,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -40,13 +38,11 @@ __all__ = [
     "ArrivalProcess",
     "StationaryPoisson",
     "NonhomogeneousPoisson",
-    "MMPP",
     "PopulationProcess",
     "RateProfile",
     "ConstantRate",
     "DiurnalRate",
     "FlashCrowdRate",
-    "PiecewiseConstantRate",
     "nonhomogeneous_poisson",
 ]
 
@@ -107,7 +103,12 @@ class RateProfile(abc.ABC):
 
 
 class ConstantRate(RateProfile):
-    """The degenerate profile: λ(t) = rate."""
+    """The degenerate profile: λ(t) = rate.
+
+    No driver builds one. It is the reference profile the tests hold
+    the thinning path against: a shaped run at a constant intensity
+    must match the stationary Poisson run at the same rate.
+    """
 
     name = "constant"
 
@@ -320,82 +321,6 @@ class FlashCrowdRate(RateProfile):
         )
 
 
-class PiecewiseConstantRate(RateProfile):
-    """A rate schedule: ``rates[k]`` from ``breakpoints[k]`` onward.
-
-    ``breakpoints_ns`` must start at 0 and be strictly increasing —
-    a non-monotone schedule is rejected eagerly (a silent sort would
-    mask a typo'd timeline). The last rate holds forever.
-    """
-
-    name = "piecewise"
-
-    def __init__(
-        self, breakpoints_ns: Sequence[float], rates_rps: Sequence[float]
-    ) -> None:
-        points = np.asarray(list(breakpoints_ns), dtype=float)
-        rates = np.asarray(list(rates_rps), dtype=float)
-        if points.size == 0:
-            raise ValueError("need at least one (breakpoint, rate) segment")
-        if points.size != rates.size:
-            raise ValueError(
-                f"{points.size} breakpoints but {rates.size} rates — "
-                "each segment start needs exactly one rate"
-            )
-        if points[0] != 0.0:
-            raise ValueError(
-                f"breakpoints_ns must start at 0 (the schedule must cover "
-                f"t=0), got first breakpoint {points[0]!r}"
-            )
-        if np.any(np.diff(points) <= 0):
-            bad = int(np.flatnonzero(np.diff(points) <= 0)[0]) + 1
-            raise ValueError(
-                f"breakpoints_ns must be strictly increasing; breakpoint "
-                f"#{bad} ({points[bad]!r}) does not follow {points[bad - 1]!r}"
-            )
-        if np.any(rates < 0):
-            raise ValueError("rates_rps must be non-negative")
-        if rates.max() <= 0:
-            raise ValueError(
-                "at least one segment must have a positive rate — an "
-                "all-zero schedule generates no arrivals"
-            )
-        self.breakpoints_ns = points
-        self.rates_rps = rates
-        # Cumulative expected events at each breakpoint (events, not ns).
-        widths = np.diff(points)
-        self._cum_events = np.concatenate(
-            ([0.0], np.cumsum(rates[:-1] * widths / _NS_PER_S))
-        )
-
-    def rate(self, t_ns: float) -> float:
-        index = int(
-            np.searchsorted(self.breakpoints_ns, t_ns, side="right") - 1
-        )
-        return float(self.rates_rps[max(index, 0)])
-
-    def rate_array(self, t_ns: np.ndarray) -> np.ndarray:
-        times = np.asarray(t_ns, dtype=float)
-        index = np.searchsorted(self.breakpoints_ns, times, side="right") - 1
-        return self.rates_rps[np.maximum(index, 0)]
-
-    @property
-    def rate_max(self) -> float:
-        return float(self.rates_rps.max())
-
-    def integral(self, t_ns: float) -> float:
-        if t_ns <= 0:
-            return 0.0
-        index = int(
-            np.searchsorted(self.breakpoints_ns, t_ns, side="right") - 1
-        )
-        into_segment = t_ns - self.breakpoints_ns[index]
-        return float(
-            self._cum_events[index]
-            + self.rates_rps[index] * into_segment / _NS_PER_S
-        )
-
-
 # ---------------------------------------------------------------------------
 # Arrival processes.
 # ---------------------------------------------------------------------------
@@ -545,84 +470,6 @@ class NonhomogeneousPoisson(ArrivalProcess):
             have += take
             t = float(candidates[-1])
         return np.diff(times, prepend=0.0)
-
-
-class MMPP(ArrivalProcess):
-    """Markov-modulated Poisson process: rates with exponential dwells.
-
-    The process cycles through ``rates_rps`` states; state ``k`` lasts
-    an exponential dwell with mean ``mean_dwell_ns[k]`` during which
-    arrivals are Poisson at ``rates_rps[k]``. With two states this is
-    the classic on/off burst model. Generation is exact: crossing a
-    state boundary simply re-draws the next gap (memorylessness).
-    """
-
-    name = "mmpp"
-
-    def __init__(
-        self,
-        rates_rps: Sequence[float],
-        mean_dwell_ns: Sequence[float],
-    ) -> None:
-        rates = [float(rate) for rate in rates_rps]
-        dwells = [float(dwell) for dwell in mean_dwell_ns]
-        if len(rates) < 2:
-            raise ValueError(
-                f"MMPP needs at least 2 states, got {len(rates)} — with one "
-                "state use StationaryPoisson"
-            )
-        if len(rates) != len(dwells):
-            raise ValueError(
-                f"{len(rates)} rates but {len(dwells)} dwell times — each "
-                "state needs exactly one of each"
-            )
-        if any(rate < 0 for rate in rates):
-            raise ValueError("state rates must be non-negative")
-        if max(rates) <= 0:
-            raise ValueError(
-                "at least one state must have a positive rate — an all-idle "
-                "MMPP generates no arrivals"
-            )
-        if any(dwell <= 0 for dwell in dwells):
-            raise ValueError("mean dwell times must be positive")
-        self.rates_rps = tuple(rates)
-        self.mean_dwell_ns = tuple(dwells)
-
-    @property
-    def mean_rate_rps(self) -> float:
-        # Time-weighted by expected dwell.
-        total = sum(self.mean_dwell_ns)
-        return (
-            sum(r * d for r, d in zip(self.rates_rps, self.mean_dwell_ns))
-            / total
-        )
-
-    def sample_gaps(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        _check_count(n)
-        gaps = np.empty(n)
-        t = 0.0
-        state = 0
-        state_end = rng.exponential(self.mean_dwell_ns[state])
-        last = 0.0
-        have = 0
-        while have < n:
-            rate = self.rates_rps[state]
-            if rate > 0:
-                candidate = t + rng.exponential(_NS_PER_S / rate)
-            else:
-                candidate = math.inf
-            if candidate <= state_end:
-                gaps[have] = candidate - last
-                last = candidate
-                t = candidate
-                have += 1
-            else:
-                # Memoryless: discard the censored draw, restart at the
-                # boundary in the next state.
-                t = state_end
-                state = (state + 1) % len(self.rates_rps)
-                state_end = t + rng.exponential(self.mean_dwell_ns[state])
-        return gaps
 
 
 class PopulationProcess(ArrivalProcess):

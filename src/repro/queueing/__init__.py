@@ -31,7 +31,6 @@ from .hedging import HedgingResult, simulate_hedged_queues
 from .kernelsim import kernel_sojourn_times
 from .nonstationary import (
     nonhomogeneous_poisson,
-    sinusoidal_rate,
     square_wave_rate,
 )
 from .preemption import PreemptionResult, simulate_preemptive_queue
@@ -88,5 +87,4 @@ __all__ = [
     "erlang_b",
     "nonhomogeneous_poisson",
     "square_wave_rate",
-    "sinusoidal_rate",
 ]

@@ -23,8 +23,6 @@ __all__ = [
     "simulate_fifo_queue",
     "spray_departures",
     "sojourn_times",
-    "queue_length_series",
-    "queue_depth_at_arrivals",
     "poisson_arrivals",
     "validate_queue_inputs",
     "check_unit_count",
@@ -179,49 +177,6 @@ def sojourn_times(
         skip = int(sojourns.size * warmup_fraction)
         sojourns = sojourns[skip:]
     return sojourns
-
-
-def queue_length_series(
-    arrival_times: np.ndarray, departure_times: np.ndarray
-) -> tuple:
-    """Number-in-system step function from arrival/departure times.
-
-    Returns ``(times, lengths)``: the event instants (arrivals and
-    departures, time-ordered) and the queue length *after* each event.
-    At a tie the arrival is counted before the departure, so transient
-    spikes are visible rather than cancelled. Used by the telemetry
-    layer to export per-queue length time series for the theoretical
-    Q×U models (the vectorized analogue of the DES sampler's probes).
-    """
-    arrivals = np.asarray(arrival_times, dtype=float)
-    departures = np.asarray(departure_times, dtype=float)
-    if arrivals.shape != departures.shape or arrivals.ndim != 1:
-        raise ValueError("expected matching 1-D arrival/departure arrays")
-    times = np.concatenate([arrivals, departures])
-    deltas = np.concatenate(
-        [np.ones(arrivals.size, dtype=np.int64), -np.ones(departures.size, dtype=np.int64)]
-    )
-    # Stable sort + arrivals listed first = arrivals win ties.
-    order = np.argsort(times, kind="stable")
-    return times[order], np.cumsum(deltas[order])
-
-
-def queue_depth_at_arrivals(
-    arrival_times: np.ndarray, departure_times: np.ndarray
-) -> np.ndarray:
-    """Number-in-system seen by each arrival (including itself).
-
-    ``depth[i] = (i + 1) - |{j : departure_j <= arrival_i}|`` — an
-    arrival-sampled queue-depth distribution, the quantity RPCValet's
-    dispatcher threshold acts on. Departures at exactly the arrival
-    instant count as already departed.
-    """
-    arrivals = np.asarray(arrival_times, dtype=float)
-    departures = np.asarray(departure_times, dtype=float)
-    if arrivals.shape != departures.shape or arrivals.ndim != 1:
-        raise ValueError("expected matching 1-D arrival/departure arrays")
-    departed = np.searchsorted(np.sort(departures), arrivals, side="right")
-    return np.arange(1, arrivals.size + 1) - departed
 
 
 def poisson_arrivals(

@@ -6,7 +6,8 @@ finite-capacity system — M/M/c/K — whose stationary distribution is
 closed-form. These results let tests and capacity planning connect the
 simulator's slot-exhaustion stalls to textbook blocking probabilities
 (what fraction of arrivals find the system full) and to the Erlang-B
-loss formula in the zero-buffer limit.
+loss formula in the zero-buffer limit. No driver calls them: they are
+test oracles and the ``capacity_planning`` example's sizing math.
 """
 
 from __future__ import annotations

@@ -2,8 +2,7 @@
 
 The paper's Poisson arrivals are stationary; real RPC traffic has
 flash bursts (fan-out storms) and slow rate swings. This module keeps
-the queueing-level convenience rate shapes (square wave, sinusoid) and
-re-exports the **nonhomogeneous Poisson** thinner from
+the queueing-level square-wave burst shape and re-exports the **nonhomogeneous Poisson** thinner from
 :mod:`repro.popload.arrivals` — the population-driven workload
 subsystem now owns the single implementation, and this import path
 stays for existing consumers (bit-identical streams). Two regimes
@@ -18,14 +17,11 @@ from __future__ import annotations
 
 from typing import Callable, Tuple
 
-import numpy as np
-
 from ..popload.arrivals import nonhomogeneous_poisson
 
 __all__ = [
     "nonhomogeneous_poisson",
     "square_wave_rate",
-    "sinusoidal_rate",
 ]
 
 
@@ -49,18 +45,3 @@ def square_wave_rate(
 
     return rate_fn, burst_rate
 
-
-def sinusoidal_rate(
-    mean_rate: float, amplitude: float, period: float
-) -> Tuple[Callable[[float], float], float]:
-    """Diurnal-style smooth swing: mean ± amplitude over one period."""
-    if mean_rate <= 0 or not 0 <= amplitude < mean_rate:
-        raise ValueError("need mean_rate > 0 and 0 <= amplitude < mean_rate")
-    if period <= 0:
-        raise ValueError("period must be positive")
-    two_pi = 2.0 * np.pi
-
-    def rate_fn(t: float) -> float:
-        return mean_rate + amplitude * np.sin(two_pi * t / period)
-
-    return rate_fn, mean_rate + amplitude

@@ -22,13 +22,9 @@ from ..dists import Distribution, Shifted
 from ..metrics import LatencySummary, SweepPoint, SweepResult
 from ..runner import map_points, spawn_point_seeds
 from ..sim import RngRegistry
-from ..telemetry import Histogram, TelemetrySnapshot, TimeSeries
 from .fastsim import (
     check_unit_count,
     poisson_arrivals,
-    queue_depth_at_arrivals,
-    queue_length_series,
-    simulate_fifo_queue,
     sojourn_times,
 )
 
@@ -36,10 +32,6 @@ __all__ = ["QueueingSystem", "composite_service", "PAPER_CONFIGS", "run_queueing
 
 #: The five configurations of Fig. 2a, as (num_queues, servers_per_queue).
 PAPER_CONFIGS = ((1, 16), (2, 8), (4, 4), (8, 2), (16, 1))
-
-#: Cap on retained telemetry time-series events per queue (the depth
-#: histograms are always complete; only the step series is decimated).
-TELEMETRY_SERIES_POINTS = 512
 
 
 def composite_service(
@@ -79,10 +71,6 @@ class QueueingSystem:
     servers_per_queue: int
     service: Distribution
     seed: int = 0
-    #: When True, :meth:`run` also captures per-queue length telemetry
-    #: (arrival-sampled depth histograms + a step time series per FIFO)
-    #: in ``point.extra["telemetry"]``; see :mod:`repro.telemetry`.
-    telemetry: bool = False
 
     def __post_init__(self) -> None:
         check_unit_count("num_queues", self.num_queues)
@@ -129,86 +117,33 @@ class QueueingSystem:
         queue_ids = spray_rng.integers(0, self.num_queues, size=num_requests)
 
         all_sojourns = []
-        snapshot: Optional[TelemetrySnapshot] = (
-            TelemetrySnapshot() if self.telemetry else None
-        )
         for queue_id in range(self.num_queues):
             mask = queue_ids == queue_id
             if not mask.any():
                 continue
-            if snapshot is None:
-                all_sojourns.append(
-                    sojourn_times(
-                        arrivals[mask],
-                        services[mask],
-                        self.servers_per_queue,
-                        warmup_fraction=warmup_fraction,
-                        # Arrivals are a cumsum of non-negative gaps and
-                        # services come straight from the distributions:
-                        # skip fastsim's O(n) input validation on this hot path.
-                        validate=False,
-                    )
+            all_sojourns.append(
+                sojourn_times(
+                    arrivals[mask],
+                    services[mask],
+                    self.servers_per_queue,
+                    warmup_fraction=warmup_fraction,
+                    # Arrivals are a cumsum of non-negative gaps and
+                    # services come straight from the distributions:
+                    # skip fastsim's O(n) input validation on this hot path.
+                    validate=False,
                 )
-                continue
-            # Telemetry path: keep the departure times around so the
-            # queue-length telemetry can be derived from them.
-            queue_arrivals = arrivals[mask]
-            departures = simulate_fifo_queue(
-                queue_arrivals,
-                services[mask],
-                self.servers_per_queue,
-                validate=False,
-            )
-            sojourns = departures - queue_arrivals
-            skip = int(sojourns.size * warmup_fraction)
-            all_sojourns.append(sojourns[skip:])
-            self._record_queue_telemetry(
-                snapshot, queue_id, queue_arrivals, departures
             )
         sojourns = (
             np.concatenate(all_sojourns) if all_sojourns else np.empty(0)
         )
         normalized = sojourns / mean_service
         summary = LatencySummary.from_values(normalized)
-        extra = {"mean_service": mean_service, "arrival_rate": rate}
-        if snapshot is not None:
-            extra["telemetry"] = snapshot
         return SweepPoint(
             offered_load=load,
             achieved_throughput=load,
             summary=summary,
-            extra=extra,
+            extra={"mean_service": mean_service, "arrival_rate": rate},
         )
-
-    def _record_queue_telemetry(
-        self,
-        snapshot: TelemetrySnapshot,
-        queue_id: int,
-        arrivals: np.ndarray,
-        departures: np.ndarray,
-    ) -> None:
-        """Capture one FIFO's length telemetry into ``snapshot``.
-
-        Per-queue *and* systemwide arrival-sampled depth histograms
-        (both mergeable across workers) plus a decimated number-in-
-        system step series per queue.
-        """
-        depths = queue_depth_at_arrivals(arrivals, departures).astype(float)
-        per_queue = Histogram(f"queueing.depth[q{queue_id}]")
-        per_queue.record_many(depths)
-        snapshot.histograms[per_queue.name] = per_queue
-        combined = snapshot.histograms.get("queueing.depth")
-        if combined is None:
-            combined = snapshot.histograms["queueing.depth"] = Histogram(
-                "queueing.depth"
-            )
-        combined.record_many(depths)
-        times, lengths = queue_length_series(arrivals, departures)
-        stride = max(1, times.size // TELEMETRY_SERIES_POINTS)
-        series = TimeSeries(f"queue_len[q{queue_id}]")
-        series.times = times[::stride].tolist()
-        series.values = lengths[::stride].astype(float).tolist()
-        snapshot.series[series.name] = series
 
     def sweep(
         self,

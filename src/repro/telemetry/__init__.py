@@ -35,7 +35,6 @@ from .export import (
 from .primitives import (
     Counter,
     DEFAULT_BUCKETS_PER_OCTAVE,
-    Gauge,
     Histogram,
     TimeSeries,
     merge_histograms,
@@ -44,7 +43,6 @@ from .probes import instrument_chip, instrument_cluster, instrument_traffic
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "TimeSeries",
     "DEFAULT_BUCKETS_PER_OCTAVE",

@@ -3,7 +3,7 @@
 Plain-text formats for external tooling (pandas, jq, spreadsheets):
 
 * :func:`write_snapshot_jsonl` — one JSON object per line, one line per
-  counter/gauge/histogram/series; self-describing via a ``kind`` field;
+  counter/histogram/series; self-describing via a ``kind`` field;
 * :func:`series_csv` / :func:`write_series_csv` — long-format
   ``series,time,value`` rows of every sampled time series.
 
@@ -39,19 +39,6 @@ def snapshot_jsonl_lines(snapshot: TelemetrySnapshot) -> Iterator[str]:
         counter = snapshot.counters[name]
         yield json.dumps(
             {"kind": "counter", "name": name, "value": counter.value},
-            sort_keys=True,
-        )
-    for name in sorted(snapshot.gauges):
-        gauge = snapshot.gauges[name]
-        yield json.dumps(
-            {
-                "kind": "gauge",
-                "name": name,
-                "value": None if gauge.updates == 0 else gauge.value,
-                "min": None if gauge.updates == 0 else gauge.min,
-                "max": None if gauge.updates == 0 else gauge.max,
-                "updates": gauge.updates,
-            },
             sort_keys=True,
         )
     for name in sorted(snapshot.histograms):

@@ -27,7 +27,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from .primitives import (
     DEFAULT_BUCKETS_PER_OCTAVE,
     Counter,
-    Gauge,
     Histogram,
     TimeSeries,
 )
@@ -36,7 +35,7 @@ __all__ = ["TelemetryHub", "PeriodicSampler", "TelemetrySnapshot", "merge_snapsh
 
 
 class TelemetryHub:
-    """Registry of named counters, gauges, histograms, and probes."""
+    """Registry of named counters, histograms, and probes."""
 
     def __init__(self, sample_interval: Optional[float] = None) -> None:
         if sample_interval is not None and sample_interval <= 0:
@@ -45,7 +44,6 @@ class TelemetryHub:
             )
         self.sample_interval = sample_interval
         self.counters: Dict[str, Counter] = {}
-        self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Histogram] = {}
         self.series: Dict[str, TimeSeries] = {}
         self._probes: List[Tuple[TimeSeries, Callable[[], float]]] = []
@@ -59,13 +57,6 @@ class TelemetryHub:
         if counter is None:
             counter = self.counters[name] = Counter(name)
         return counter
-
-    def gauge(self, name: str) -> Gauge:
-        """Get or create the gauge called ``name``."""
-        gauge = self.gauges.get(name)
-        if gauge is None:
-            gauge = self.gauges[name] = Gauge(name)
-        return gauge
 
     def histogram(
         self, name: str, buckets_per_octave: int = DEFAULT_BUCKETS_PER_OCTAVE
@@ -107,7 +98,6 @@ class TelemetryHub:
         """
         return TelemetrySnapshot(
             counters=dict(self.counters),
-            gauges=dict(self.gauges),
             histograms=dict(self.histograms),
             series=dict(self.series),
         )
@@ -156,17 +146,16 @@ class TelemetrySnapshot:
     """Frozen, picklable telemetry of one run (or a merge of many)."""
 
     counters: Dict[str, Counter] = field(default_factory=dict)
-    gauges: Dict[str, Gauge] = field(default_factory=dict)
     histograms: Dict[str, Histogram] = field(default_factory=dict)
     series: Dict[str, TimeSeries] = field(default_factory=dict)
 
     def merge(self, other: "TelemetrySnapshot") -> "TelemetrySnapshot":
         """Fold ``other`` into this snapshot in place; returns self.
 
-        Counters sum, gauges keep the widest envelope, histograms merge
-        bucket-wise. Series with colliding names are concatenated in
-        merge order (each task's series keeps its own time axis, so
-        per-run series are best read from the per-point snapshots).
+        Counters sum and histograms merge bucket-wise. Series with
+        colliding names are concatenated in merge order (each task's
+        series keeps its own time axis, so per-run series are best read
+        from the per-point snapshots).
         """
         for name, counter in other.counters.items():
             if name in self.counters:
@@ -175,13 +164,6 @@ class TelemetrySnapshot:
                 clone = Counter(name)
                 clone.merge(counter)
                 self.counters[name] = clone
-        for name, gauge in other.gauges.items():
-            if name in self.gauges:
-                self.gauges[name].merge(gauge)
-            else:
-                clone = Gauge(name)
-                clone.merge(gauge)
-                self.gauges[name] = clone
         for name, histogram in other.histograms.items():
             if name in self.histograms:
                 self.histograms[name].merge(histogram)
@@ -203,8 +185,8 @@ def merge_snapshots(
     """Merge task snapshots (in task order) into one fresh snapshot.
 
     ``None`` entries (tasks without telemetry, or dropped points) are
-    skipped. Returns ``None`` when nothing merges. Because counter,
-    gauge, and histogram merging is order-independent *and* the caller
+    skipped. Returns ``None`` when nothing merges. Because counter
+    and histogram merging is order-independent *and* the caller
     iterates in task order, the result is bit-identical no matter how
     tasks were distributed over workers.
     """

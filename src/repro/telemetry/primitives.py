@@ -1,18 +1,17 @@
 """Mergeable low-overhead telemetry primitives.
 
-Four building blocks, all picklable (they cross process boundaries in
+Three building blocks, all picklable (they cross process boundaries in
 parallel sweeps) and all mergeable (per-worker instances combine into
 one consistent view, independent of worker count):
 
 * :class:`Counter` — a monotonically increasing count;
-* :class:`Gauge` — a last-value-wins reading with min/max envelope;
 * :class:`Histogram` — a log-bucketed streaming histogram: O(1) memory
   per decade of dynamic range, ~constant relative quantile error, and
   exact count/sum/min/max;
 * :class:`TimeSeries` — (time, value) samples from the periodic
   snapshot sampler, renderable as Perfetto counter tracks.
 
-Merging is associative and order-independent for counters, gauges, and
+Merging is associative and order-independent for counters and
 histograms, so ``merge(merge(a, b), c) == merge(a, merge(b, c))`` and a
 sweep's merged telemetry is identical however its points were
 distributed over workers.
@@ -25,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["Counter", "Gauge", "Histogram", "TimeSeries", "DEFAULT_BUCKETS_PER_OCTAVE"]
+__all__ = ["Counter", "Histogram", "TimeSeries", "DEFAULT_BUCKETS_PER_OCTAVE"]
 
 #: Default histogram resolution: 8 buckets per power of two, i.e. a
 #: bucket-width ratio of 2^(1/8) ≈ 1.09 (≤ ~4.5% quantile error).
@@ -56,60 +55,6 @@ class Counter:
 
     def __repr__(self) -> str:
         return f"<Counter {self.name}={self.value}>"
-
-
-class Gauge:
-    """A point-in-time reading with a min/max envelope.
-
-    Merging keeps the widest envelope and the *other* gauge's last
-    value (merge order is the task order, so "last" is well defined
-    and worker-count independent).
-    """
-
-    __slots__ = ("name", "value", "min", "max", "updates")
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.value: float = float("nan")
-        self.min: float = float("inf")
-        self.max: float = float("-inf")
-        self.updates: int = 0
-
-    def set(self, value: float) -> None:
-        self.value = value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        self.updates += 1
-
-    def merge(self, other: "Gauge") -> "Gauge":
-        if other.updates:
-            self.value = other.value
-        if other.min < self.min:
-            self.min = other.min
-        if other.max > self.max:
-            self.max = other.max
-        self.updates += other.updates
-        return self
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Gauge):
-            return NotImplemented
-
-        def _same(a: float, b: float) -> bool:
-            return a == b or (math.isnan(a) and math.isnan(b))
-
-        return (
-            self.name == other.name
-            and _same(self.value, other.value)
-            and self.min == other.min
-            and self.max == other.max
-            and self.updates == other.updates
-        )
-
-    def __repr__(self) -> str:
-        return f"<Gauge {self.name}={self.value} [{self.min}, {self.max}]>"
 
 
 class Histogram:

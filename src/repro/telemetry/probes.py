@@ -138,7 +138,7 @@ def instrument_cluster(cluster: "Cluster", hub: TelemetryHub) -> TelemetryHub:
     * ``send_credits[node{i}]`` — send-slot credits node *i* currently
       holds across the fabric (cross-node flow-control pressure);
     * ``rack.outstanding[node{i}]`` — the router's ground-truth
-      outstanding-load gauge per destination (router runs only).
+      outstanding load per destination (router runs only).
 
     Event-driven rack instrumentation (router runs only): one routed
     counter per destination plus the total decision counter, and a

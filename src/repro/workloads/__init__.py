@@ -6,7 +6,6 @@ from .herd import HerdWorkload
 from .masstree import MasstreeWorkload
 from .microbench import MicrobenchCosts, MicrobenchProgram
 from .replay import TraceWorkload, load_service_trace
-from .silo import SiloTpccWorkload, TPCC_MIX
 from .synthetic import SyntheticWorkload
 from .traffic import ClosedLoopClients, TrafficGenerator
 
@@ -23,6 +22,4 @@ __all__ = [
     "ClosedLoopClients",
     "TraceWorkload",
     "load_service_trace",
-    "SiloTpccWorkload",
-    "TPCC_MIX",
 ]

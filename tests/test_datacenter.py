@@ -28,13 +28,11 @@ from repro.datacenter import (
     DatacenterTopology,
     NodeProfile,
     make_scheduler,
-    merge_plans,
     node_profile,
     rack_power_loss,
     simulate_datacenter_fast,
 )
 from repro.balancing import SingleQueue
-from repro.faults import FaultPlan
 from repro.rack import ZipfDestinations
 
 
@@ -291,18 +289,6 @@ class TestCorrelatedFailures:
         with pytest.raises(ValueError, match="out of range"):
             rack_power_loss(topo, rack=4, at_ns=0.0)
 
-    def test_merge_plans(self):
-        topo = DatacenterTopology(4, 4)
-        merged = merge_plans(
-            [
-                rack_power_loss(topo, 0, at_ns=1e5, outage_ns=5e4),
-                rack_power_loss(topo, 2, at_ns=2e5, outage_ns=5e4),
-            ]
-        )
-        assert len(merged.events) == 8
-        with pytest.raises(ValueError, match="drop_prob"):
-            merge_plans([FaultPlan(drop_prob=0.1)])
-
     def test_conservation_offered_equals_completed_plus_lost(self):
         topo = DatacenterTopology(4, 4)
         horizon_ns = 400 / 24.0 * 1e3
@@ -320,6 +306,31 @@ class TestCorrelatedFailures:
         assert all(
             count > 0 for count in result.per_node_completed[4:]
         )
+
+    def test_des_fault_row_counts_client_side_completions(self, monkeypatch):
+        # The driver's fault row on the DES: ClusterResult.completed
+        # counts server executions, including attempts whose reply the
+        # rack outage suppressed; the row must count client-side.
+        from repro.cluster import Cluster
+        from repro.experiments.datacenter import _run_datacenter_task
+
+        results = []
+        run = Cluster.run
+
+        def capture(self, *args, **kwargs):
+            results.append(run(self, *args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(Cluster, "run", capture)
+        row = _run_datacenter_task(
+            ("fault/flat", 2, 2, 0, "flat", "jsq2", 0.0, 24.0, 300, 0,
+             "des", True)
+        )
+        (result,) = results
+        assert result.fault_stats.reply_suppressed > 0
+        assert result.completed > result.fault_stats.completed
+        assert row["offered"] == 4 * 300
+        assert row["offered"] == row["completed"] + row["lost"]
 
 
 class TestDesRouter:

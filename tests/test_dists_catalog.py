@@ -7,11 +7,9 @@ from repro.dists import (
     GEV_PARAMS_NS,
     HERD_MEAN_NS,
     MASSTREE_GET_MEAN_NS,
-    MASSTREE_SCAN_FRACTION,
     MASSTREE_SCAN_RANGE_NS,
     SYNTHETIC_KINDS,
     herd,
-    masstree,
     masstree_get,
     masstree_scan,
     synthetic,
@@ -71,20 +69,3 @@ class TestMasstreeCatalog:
         assert samples.min() >= low
         assert samples.max() <= high
         assert dist.mean == pytest.approx((low + high) / 2)
-
-    def test_mixture_structure(self):
-        mix = masstree()
-        assert len(mix.components) == 2
-        np.testing.assert_allclose(
-            mix.weights, [1 - MASSTREE_SCAN_FRACTION, MASSTREE_SCAN_FRACTION]
-        )
-        # Mean dominated by the rare long scans: ~2.1µs overall.
-        assert mix.mean == pytest.approx(
-            0.99 * MASSTREE_GET_MEAN_NS + 0.01 * 90_000.0, rel=0.01
-        )
-
-    def test_invalid_scan_fraction(self):
-        with pytest.raises(ValueError):
-            masstree(scan_fraction=0.0)
-        with pytest.raises(ValueError):
-            masstree(scan_fraction=1.0)

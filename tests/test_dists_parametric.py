@@ -1,12 +1,10 @@
-"""Gamma / LogNormal / Weibull / Pareto."""
-
-import math
+"""The Gamma family."""
 
 import numpy as np
 import pytest
 
 from .conftest import integrate
-from repro.dists import Gamma, LogNormal, Pareto, Weibull
+from repro.dists import Gamma
 
 RNG = lambda: np.random.default_rng(77)  # noqa: E731
 N = 200_000
@@ -40,67 +38,3 @@ class TestGamma:
             Gamma(0.0, 1.0)
         with pytest.raises(ValueError):
             Gamma.from_mean_cv2(-1.0, 0.5)
-
-
-class TestLogNormal:
-    def test_from_mean_std(self):
-        dist = LogNormal.from_mean_std(mean=500.0, std=250.0)
-        assert dist.mean == pytest.approx(500.0)
-        assert dist.std == pytest.approx(250.0)
-
-    def test_sample_stats(self):
-        dist = LogNormal.from_mean_std(mean=500.0, std=250.0)
-        samples = dist.sample_array(RNG(), N)
-        assert samples.mean() == pytest.approx(500.0, rel=0.02)
-
-    def test_pdf_integrates_to_one(self):
-        dist = LogNormal.from_mean_std(mean=100.0, std=50.0)
-        xs = np.linspace(0, 2000, 100_001)
-        assert integrate(dist.pdf(xs), xs) == pytest.approx(1.0, rel=1e-3)
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            LogNormal(0.0, 0.0)
-
-
-class TestWeibull:
-    def test_moments_match_samples(self):
-        dist = Weibull(shape=1.5, scale=200.0)
-        samples = dist.sample_array(RNG(), N)
-        assert samples.mean() == pytest.approx(dist.mean, rel=0.02)
-        assert samples.var() == pytest.approx(dist.variance, rel=0.05)
-
-    def test_shape_one_is_exponential(self):
-        dist = Weibull(shape=1.0, scale=300.0)
-        assert dist.mean == pytest.approx(300.0)
-        assert dist.variance == pytest.approx(300.0**2)
-
-    def test_pdf_integrates_to_one(self):
-        dist = Weibull(shape=2.0, scale=100.0)
-        xs = np.linspace(0, 1000, 50_001)
-        assert integrate(dist.pdf(xs), xs) == pytest.approx(1.0, rel=1e-3)
-
-
-class TestPareto:
-    def test_moments(self):
-        dist = Pareto(alpha=3.0, xmin=100.0)
-        assert dist.mean == pytest.approx(150.0)
-        assert math.isfinite(dist.variance)
-
-    def test_infinite_moments(self):
-        assert math.isinf(Pareto(alpha=0.9, xmin=1.0).mean)
-        assert math.isinf(Pareto(alpha=1.5, xmin=1.0).variance)
-
-    def test_samples_above_xmin(self):
-        samples = Pareto(alpha=2.0, xmin=50.0).sample_array(RNG(), N)
-        assert samples.min() >= 50.0
-
-    def test_sample_mean(self):
-        dist = Pareto(alpha=3.0, xmin=100.0)
-        samples = dist.sample_array(RNG(), N)
-        assert samples.mean() == pytest.approx(dist.mean, rel=0.03)
-
-    def test_pdf_integrates_to_one(self):
-        dist = Pareto(alpha=2.5, xmin=10.0)
-        xs = np.linspace(10, 10_000, 1_000_001)
-        assert integrate(dist.pdf(xs), xs) == pytest.approx(1.0, abs=0.01)

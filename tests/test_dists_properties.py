@@ -9,7 +9,6 @@ from repro.dists import (
     Fixed,
     GEV,
     Gamma,
-    Mixture,
     Scaled,
     Shifted,
     Uniform,
@@ -77,21 +76,6 @@ def test_scale_multiplies_moments(dist, factor):
         np.testing.assert_allclose(
             scaled.variance, dist.variance * factor**2, rtol=1e-9
         )
-
-
-@given(
-    st.lists(
-        st.tuples(st.floats(min_value=0.01, max_value=10.0), positive),
-        min_size=1,
-        max_size=4,
-    )
-)
-@settings(max_examples=100, deadline=None)
-def test_mixture_mean_is_convex_combination(weighted_means):
-    components = [(weight, Fixed(value)) for weight, value in weighted_means]
-    mix = Mixture(components)
-    values = np.array([value for _w, value in weighted_means])
-    assert values.min() - 1e-9 <= mix.mean <= values.max() + 1e-9
 
 
 @given(

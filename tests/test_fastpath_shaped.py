@@ -25,11 +25,11 @@ from repro.fastpath import (
 )
 from repro.faults import FabricDegradation, FaultPlan, NodeCrash, NodeSlowdown
 from repro.popload import (
-    MMPP,
     ConstantRate,
     DiurnalRate,
     FlashCrowdRate,
     NonhomogeneousPoisson,
+    PopulationProcess,
     StationaryPoisson,
 )
 from repro.sim import RngRegistry
@@ -38,9 +38,13 @@ from repro.workloads import HerdWorkload, MasstreeWorkload
 MEAN_SERVICE_NS = 553.7
 
 
-def _mmpp(rate_mrps: float) -> MMPP:
-    rps = rate_mrps * 1e6
-    return MMPP((0.6 * rps, 1.8 * rps), (30_000.0, 15_000.0))
+def _population(rate_mrps: float) -> PopulationProcess:
+    # No profile: the rate jumps with a Poisson user count redrawn each
+    # window, so there is no deterministic intensity (the
+    # ``arrivals:stochastic`` capability).
+    return PopulationProcess(
+        mean_users=50.0, per_user_rps=rate_mrps * 1e6 / 50.0, window_ns=20_000.0
+    )
 
 
 def _flash(rate_mrps: float, horizon_ns: float) -> NonhomogeneousPoisson:
@@ -58,10 +62,10 @@ def _flash(rate_mrps: float, horizon_ns: float) -> NonhomogeneousPoisson:
 
 
 class TestFastChipShaped:
-    def test_repeat_run_bit_identity_mmpp_and_flash(self):
+    def test_repeat_run_bit_identity_population_and_flash(self):
         workload = HerdWorkload()
         profile = calibrated_chip_profile("16x1")
-        for process in (_mmpp(20.0), _flash(20.0, 3000 / 20.0 * 1e3)):
+        for process in (_population(20.0), _flash(20.0, 3000 / 20.0 * 1e3)):
             first = fast_chip_point(
                 "16x1", workload, 20.0, 3000, 7, profile,
                 arrival_process=process,
@@ -147,13 +151,13 @@ class TestFastChipSloClass:
 
 
 class TestFastClusterShaped:
-    def test_rack_repeat_identity_under_mmpp(self):
+    def test_rack_repeat_identity_under_population(self):
         kwargs = dict(
             policy="jsq2",
             per_node_mrps=20.0,
             requests_per_node=400,
             seed=11,
-            arrival_process=_mmpp(20.0),
+            arrival_process=_population(20.0),
         )
         first = simulate_rack_fast(8, **kwargs)
         second = simulate_rack_fast(8, **kwargs)
@@ -326,12 +330,12 @@ class TestFluidTransient:
         assert np.isfinite(shaped.aggregate.p99)
         assert shaped.aggregate.p99 > flat.aggregate.p99
 
-    def test_mmpp_raises_actionable_error(self):
+    def test_stochastic_process_raises_actionable_error(self):
         with pytest.raises(ValueError, match="deterministic RateProfile"):
             simulate_cluster_fluid(
                 256, policy="jsq2", per_node_mrps=14.0,
                 mean_service_ns=MEAN_SERVICE_NS, seed=0,
-                arrival_process=_mmpp(14.0), horizon_ns=20_000.0,
+                arrival_process=_population(14.0), horizon_ns=20_000.0,
             )
 
     def test_transient_measure_is_a_distribution_trajectory(self):
@@ -354,13 +358,13 @@ class TestCapabilityMatrix:
         assert arrival_capability(StationaryPoisson(1e6)) is None
         shaped = NonhomogeneousPoisson(ConstantRate(1e6))
         assert arrival_capability(shaped) == "arrivals:profile"
-        assert arrival_capability(_mmpp(1.0)) == "arrivals:stochastic"
+        assert arrival_capability(_population(1.0)) == "arrivals:stochastic"
 
     def test_required_capabilities(self):
         assert required_capabilities() == frozenset()
         assert required_capabilities(faults=FaultPlan()) == frozenset()
         need = required_capabilities(
-            arrival_process=_mmpp(1.0),
+            arrival_process=_population(1.0),
             faults=FaultPlan(drop_prob=0.1),
             tracing=True,
             chip=True,
@@ -378,10 +382,10 @@ class TestCapabilityMatrix:
             engine_supports("auto", set())
 
     def test_auto_falls_back_to_fast_never_fluid(self):
-        # Above the threshold auto wants fluid, but MMPP arrivals and
+        # Above the threshold auto wants fluid, but population windows and
         # fault plans are per-RPC features: it must fall back to fast.
         assert resolve_engine(
-            "auto", 1024, arrival_process=_mmpp(1.0)
+            "auto", 1024, arrival_process=_population(1.0)
         ) == "fast"
         assert resolve_engine(
             "auto", 1024, faults=FaultPlan(drop_prob=0.1)
@@ -395,15 +399,15 @@ class TestCapabilityMatrix:
 
     def test_explicit_engine_without_capability_raises(self):
         with pytest.raises(ValueError, match="does not support"):
-            resolve_engine("fluid", 1024, arrival_process=_mmpp(1.0))
+            resolve_engine("fluid", 1024, arrival_process=_population(1.0))
         with pytest.raises(ValueError, match="does not support"):
             resolve_engine("fast", 16, tracing=True)
 
     def test_env_override_still_capability_checked(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "fluid")
         with pytest.raises(ValueError, match="does not support"):
-            resolve_engine("des", 1024, arrival_process=_mmpp(1.0))
+            resolve_engine("des", 1024, arrival_process=_population(1.0))
         monkeypatch.setenv("REPRO_ENGINE", "des")
         assert resolve_engine(
-            "fluid", 1024, arrival_process=_mmpp(1.0)
+            "fluid", 1024, arrival_process=_population(1.0)
         ) == "des"

@@ -8,7 +8,6 @@ import pytest
 from repro.metrics import (
     LatencyRecorder,
     LatencySummary,
-    LoadSweep,
     SweepPoint,
     SweepResult,
     format_table,
@@ -133,41 +132,7 @@ class TestSweeps:
         assert sweep.p99s == [5.0, 9.0]
         assert sweep.throughputs == [1.0, 2.0]
         assert sweep.throughput_under_slo(6.0) == 1.0
-        assert sweep.max_p99_before(1.5) == 5.0
-        assert math.isnan(sweep.max_p99_before(0.5))
         assert len(sweep) == 2
-
-    def test_load_sweep_runs_sorted(self):
-        seen = []
-
-        def run_point(load):
-            seen.append(load)
-            return make_point(load, load, load * 10)
-
-        sweep = LoadSweep(run_point, [3.0, 1.0, 2.0], label="s").run()
-        assert seen == [1.0, 2.0, 3.0]
-        assert sweep.label == "s"
-
-    def test_load_sweep_stops_at_saturation(self):
-        def run_point(load):
-            return make_point(load, load, 1000.0 if load > 1.5 else 1.0)
-
-        sweep = LoadSweep(
-            run_point,
-            [1.0, 2.0, 3.0],
-            stop_when_saturated=True,
-            saturation_p99=100.0,
-        ).run()
-        assert len(sweep) == 2  # stopped after the first saturated point
-
-    def test_load_sweep_validation(self):
-        run = lambda load: make_point(load, load, 1.0)  # noqa: E731
-        with pytest.raises(ValueError):
-            LoadSweep(run, [])
-        with pytest.raises(ValueError):
-            LoadSweep(run, [0.0])
-        with pytest.raises(ValueError):
-            LoadSweep(run, [1.0], stop_when_saturated=True)
 
 
 class TestTables:

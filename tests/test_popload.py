@@ -6,19 +6,12 @@ import pytest
 from repro.core import make_system
 from repro.dists import CdfDistribution, datamining, dist_from_file, websearch
 from repro.popload import (
-    MMPP,
     ConstantRate,
     DiurnalRate,
     FlashCrowdRate,
     NonhomogeneousPoisson,
-    PiecewiseConstantRate,
     PopulationProcess,
-    RecordedArrivals,
     StationaryPoisson,
-    ZipfPopularity,
-    load_arrival_trace,
-    record_arrivals,
-    save_arrival_trace,
     zipf_weights,
 )
 
@@ -67,15 +60,6 @@ class TestRateProfiles:
             2e6 * (1e6 + 0.5 * 6e5) / 1e9
         )
 
-    def test_piecewise_rate_and_integral(self):
-        profile = PiecewiseConstantRate([0.0, 1e6, 3e6], [1e6, 4e6, 2e6])
-        assert profile.rate(0.0) == 1e6
-        assert profile.rate(2e6) == 4e6
-        assert profile.rate(1e9) == 2e6  # last rate holds forever
-        assert profile.rate_max == 4e6
-        expected = (1e6 * 1e6 + 4e6 * 2e6 + 2e6 * 1e6) / 1e9
-        assert profile.integral(4e6) == pytest.approx(expected)
-
     def test_eager_validation(self):
         with pytest.raises(ValueError, match="positive"):
             ConstantRate(0.0)
@@ -87,14 +71,6 @@ class TestRateProfiles:
             FlashCrowdRate(2e6, 1e6, 0.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="non-negative"):
             FlashCrowdRate(1e6, 2e6, -1.0, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError, match="start at 0"):
-            PiecewiseConstantRate([1.0, 2.0], [1e6, 2e6])
-        with pytest.raises(ValueError, match="strictly increasing"):
-            PiecewiseConstantRate([0.0, 2e6, 1e6], [1e6, 2e6, 3e6])
-        with pytest.raises(ValueError, match="non-negative"):
-            PiecewiseConstantRate([0.0, 1.0], [1e6, -1.0])
-        with pytest.raises(ValueError, match="no arrivals"):
-            PiecewiseConstantRate([0.0, 1.0], [0.0, 0.0])
 
 
 class TestArrivalProcesses:
@@ -110,9 +86,8 @@ class TestArrivalProcesses:
         [
             DiurnalRate(1e6, 0.6, period_ns=5e6),
             FlashCrowdRate(8e5, 2.4e6, 1e6, 2e5, 1e6, 2e5),
-            PiecewiseConstantRate([0.0, 2e6], [5e5, 2e6]),
         ],
-        ids=["diurnal", "flash", "piecewise"],
+        ids=["diurnal", "flash"],
     )
     def test_event_count_conservation(self, profile):
         # N arrivals by time T ⇒ ∫λ ≈ N (Poisson counting property).
@@ -126,15 +101,6 @@ class TestArrivalProcesses:
         profile = DiurnalRate(1e6, 0.5, period_ns=4e6)
         process = NonhomogeneousPoisson(profile)
         assert process.rate_at(1e6) == pytest.approx(profile.rate(1e6))
-
-    def test_mmpp_time_weighted_mean_rate(self):
-        # Short dwells → many on/off cycles in the sample, so the
-        # end-of-stream truncation bias stays below the tolerance.
-        process = MMPP([2e6, 0.0], [3e5, 1e5])
-        assert process.mean_rate_rps == pytest.approx(1.5e6)
-        times = process.sample_times(RNG(5), 30_000)
-        realized = times.size / float(times[-1]) * 1e9
-        assert realized == pytest.approx(1.5e6, rel=0.05)
 
     def test_population_mean_rate_conserved(self):
         process = PopulationProcess(
@@ -170,7 +136,6 @@ class TestArrivalProcesses:
         for process in (
             StationaryPoisson(1e6),
             NonhomogeneousPoisson(DiurnalRate(1e6, 0.6, 5e6)),
-            MMPP([5e5, 2e6], [1e6, 1e6]),
             PopulationProcess(100.0, 1e4, 1e5),
         ):
             one = process.sample_gaps(RNG(42), 2000)
@@ -182,14 +147,6 @@ class TestArrivalProcesses:
             StationaryPoisson(0.0)
         with pytest.raises(TypeError, match="RateProfile"):
             NonhomogeneousPoisson(lambda t: 1.0)
-        with pytest.raises(ValueError, match="at least 2 states"):
-            MMPP([1e6], [1e6])
-        with pytest.raises(ValueError, match="exactly one"):
-            MMPP([1e6, 2e6], [1e6])
-        with pytest.raises(ValueError, match="no arrivals"):
-            MMPP([0.0, 0.0], [1e6, 1e6])
-        with pytest.raises(ValueError, match="dwell"):
-            MMPP([1e6, 2e6], [1e6, 0.0])
         with pytest.raises(ValueError, match="positive"):
             PopulationProcess(0.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="user_distribution"):
@@ -217,55 +174,6 @@ class TestThinningUnification:
         assert times.size > 0
 
 
-class TestTraceRecordReplay:
-    def test_round_trip_is_byte_exact(self, tmp_path):
-        times = record_arrivals(
-            NonhomogeneousPoisson(DiurnalRate(1e6, 0.6, 5e6)), RNG(13), 3000
-        )
-        path = tmp_path / "arrivals.trace"
-        save_arrival_trace(path, times)
-        loaded = load_arrival_trace(path)
-        assert times.tobytes() == loaded.tobytes()
-
-    def test_replay_consumes_no_rng(self):
-        times = record_arrivals(StationaryPoisson(1e6), RNG(2), 100)
-        replay = RecordedArrivals(times)
-        rng = RNG(5)
-        before = rng.bit_generator.state
-        gaps = replay.sample_gaps(rng, 100)
-        assert rng.bit_generator.state == before
-        assert np.cumsum(gaps) == pytest.approx(times)
-
-    def test_replay_through_the_simulator_is_deterministic(self):
-        rate = 1e6
-        times = record_arrivals(StationaryPoisson(rate), RNG(21), 1500)
-        results = []
-        for _ in range(2):
-            system = make_system("1x16", "herd", seed=4)
-            system.arrival_process = RecordedArrivals(times)
-            results.append(system.run_point(1.0, num_requests=1500))
-        assert results[0].point.summary.p99 == results[1].point.summary.p99
-        assert results[0].completed == 1500
-
-    def test_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="empty"):
-            save_arrival_trace(tmp_path / "x", np.array([]))
-        with pytest.raises(ValueError, match="sorted"):
-            save_arrival_trace(tmp_path / "x", np.array([2.0, 1.0]))
-        with pytest.raises(ValueError, match="finite"):
-            save_arrival_trace(tmp_path / "x", np.array([1.0, np.inf]))
-        empty = tmp_path / "empty.trace"
-        empty.write_text("# repro-arrivals v1\n")
-        with pytest.raises(ValueError, match="empty"):
-            load_arrival_trace(empty)
-        garbled = tmp_path / "bad.trace"
-        garbled.write_text("0x1.8p+3\nnot-a-float\n")
-        with pytest.raises(ValueError, match="bad.trace:2"):
-            load_arrival_trace(garbled)
-        with pytest.raises(ValueError, match="record a longer stream"):
-            RecordedArrivals(np.array([1.0, 2.0])).sample_gaps(RNG(), 3)
-
-
 class TestZipfSkew:
     def test_weights_match_analytic_mass(self):
         weights = zipf_weights(100, 1.0)
@@ -275,14 +183,6 @@ class TestZipfSkew:
 
     def test_alpha_zero_is_uniform(self):
         assert zipf_weights(8, 0.0) == pytest.approx(np.full(8, 0.125))
-
-    def test_sampled_frequencies_match_pmf(self):
-        pop = ZipfPopularity(20, 1.2)
-        draws = pop.sample_array(RNG(3), 40_000)
-        observed = np.bincount(draws, minlength=20) / draws.size
-        assert observed == pytest.approx(pop.pmf, abs=0.01)
-        assert pop.head_mass(20) == pytest.approx(1.0)
-        assert pop.head_mass(1) > 0.25
 
     def test_traffic_generator_source_skew_uses_zipf_weights(self):
         # source_skew routes through popload.zipf_weights now; the
@@ -297,8 +197,6 @@ class TestZipfSkew:
             zipf_weights(0, 1.0)
         with pytest.raises(ValueError, match="non-negative"):
             zipf_weights(4, -0.5)
-        with pytest.raises(ValueError, match=r"\[0, 20\]"):
-            ZipfPopularity(20, 1.0).head_mass(21)
 
 
 class TestCdfDistributions:

@@ -20,11 +20,8 @@ import numpy as np
 import pytest
 
 from repro.core import make_system, sweep_many, sweep_telemetry
-from repro.queueing import QueueingSystem
-from repro.dists import Fixed
 from repro.telemetry import (
     Counter,
-    Gauge,
     Histogram,
     TelemetryHub,
     TelemetrySnapshot,
@@ -37,7 +34,7 @@ from repro.telemetry import (
 )
 
 
-# -- Counter / Gauge ----------------------------------------------------------
+# -- Counter ------------------------------------------------------------------
 
 def test_counter_inc_and_merge():
     a = Counter("x")
@@ -46,25 +43,6 @@ def test_counter_inc_and_merge():
     b = Counter("x", value=10)
     assert a.merge(b) is a
     assert a.value == 15
-
-
-def test_gauge_envelope_and_merge():
-    a = Gauge("depth")
-    for value in (3.0, 1.0, 7.0):
-        a.set(value)
-    assert (a.value, a.min, a.max, a.updates) == (7.0, 1.0, 7.0, 3)
-    b = Gauge("depth")
-    b.set(0.5)
-    a.merge(b)
-    assert a.value == 0.5  # last value comes from the later task
-    assert a.min == 0.5 and a.max == 7.0 and a.updates == 4
-
-
-def test_gauge_merge_with_no_updates_keeps_value():
-    a = Gauge("depth")
-    a.set(2.0)
-    a.merge(Gauge("depth"))
-    assert a.value == 2.0 and a.updates == 1
 
 
 # -- Histogram ----------------------------------------------------------------
@@ -185,11 +163,9 @@ def test_histogram_merge_rejects_mixed_resolution():
 def test_primitives_pickle_roundtrip():
     h = Histogram("lat")
     h.record_many(np.array([1.0, 2.0, 0.0]))
-    g = Gauge("g")
-    g.set(3.0)
     s = TimeSeries("s")
     s.append(1.0, 2.0)
-    for obj in (Counter("c", value=5), g, h, s):
+    for obj in (Counter("c", value=5), h, s):
         assert pickle.loads(pickle.dumps(obj)) == obj
 
 
@@ -198,7 +174,6 @@ def test_primitives_pickle_roundtrip():
 def test_hub_get_or_create_identity():
     hub = TelemetryHub()
     assert hub.counter("a") is hub.counter("a")
-    assert hub.gauge("b") is hub.gauge("b")
     assert hub.histogram("c") is hub.histogram("c")
 
 
@@ -283,19 +258,18 @@ def test_snapshot_pickle_roundtrip():
 def test_snapshot_jsonl_lines_schema():
     hub = TelemetryHub()
     hub.counter("c").inc(2)
-    hub.gauge("g").set(1.5)
     hub.histogram("h").record_many(np.array([0.0, 4.0]))
     hub.series["s"] = s = TimeSeries("s")
     s.append(1.0, 2.0)
     lines = [json.loads(line) for line in snapshot_jsonl_lines(hub.snapshot())]
     kinds = [line["kind"] for line in lines]
-    assert kinds == ["counter", "gauge", "histogram", "series"]
-    histogram = lines[2]
+    assert kinds == ["counter", "histogram", "series"]
+    histogram = lines[1]
     assert histogram["count"] == 2 and histogram["zero_count"] == 1
     assert histogram["sum"] == 4.0
     buffer = io.StringIO()
-    assert write_snapshot_jsonl(hub.snapshot(), buffer) == 4
-    assert buffer.getvalue().count("\n") == 4
+    assert write_snapshot_jsonl(hub.snapshot(), buffer) == 3
+    assert buffer.getvalue().count("\n") == 3
 
 
 def test_series_csv_long_format():
@@ -382,7 +356,6 @@ def test_merged_telemetry_identical_across_worker_counts():
         b = sweep_telemetry(parallel[scheme])
         assert a.counters == b.counters
         assert a.histograms == b.histograms
-        assert a.gauges == b.gauges
         assert sorted(a.series) == sorted(b.series)
         for name in a.series:
             assert a.series[name] == b.series[name]
@@ -395,29 +368,3 @@ def test_sweep_telemetry_none_without_instrumentation():
     system = make_system("1x16", "synthetic-fixed", seed=5)
     sweep = system.sweep([8.0], num_requests=400)
     assert sweep_telemetry(sweep) is None
-
-
-# -- queueing-layer telemetry -------------------------------------------------
-
-def test_queueing_telemetry_depth_histograms():
-    base = QueueingSystem(4, 4, Fixed(1.0), seed=9)
-    plain = base.run(0.7, num_requests=4_000)
-    instrumented = QueueingSystem(4, 4, Fixed(1.0), seed=9, telemetry=True).run(
-        0.7, num_requests=4_000
-    )
-    snapshot = instrumented.extra["telemetry"]
-    assert "telemetry" not in plain.extra
-    # Telemetry must not change the simulated latencies.
-    assert instrumented.summary.mean == plain.summary.mean
-    assert instrumented.p99 == plain.p99
-    combined = snapshot.histograms["queueing.depth"]
-    assert combined.count == 4_000
-    per_queue = [
-        snapshot.histograms[f"queueing.depth[q{q}]"] for q in range(4)
-    ]
-    assert sum(h.count for h in per_queue) == combined.count
-    assert merge_histograms(per_queue).counts == combined.counts
-    for q in range(4):
-        series = snapshot.series[f"queue_len[q{q}]"]
-        assert len(series) > 0
-        assert all(b >= a for a, b in zip(series.times, series.times[1:]))

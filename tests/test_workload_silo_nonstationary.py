@@ -1,62 +1,15 @@
-"""Silo/TPC-C workload and nonstationary arrival generation."""
+"""Nonstationary arrival generation (``repro.queueing.nonstationary``)."""
 
 import numpy as np
 import pytest
 
-from repro import MicrobenchCosts, RpcValetSystem, SingleQueue
 from repro.queueing import (
     nonhomogeneous_poisson,
     simulate_fifo_queue,
-    sinusoidal_rate,
     square_wave_rate,
 )
-from repro.workloads import SiloTpccWorkload, TPCC_MIX
 
 RNG = lambda: np.random.default_rng(17)  # noqa: E731
-
-
-class TestSiloTpcc:
-    def test_mix_sums_to_one(self):
-        assert sum(TPCC_MIX.values()) == pytest.approx(1.0)
-
-    def test_overall_mean_is_papers_33us(self):
-        workload = SiloTpccWorkload()
-        assert workload.mean_processing_ns == pytest.approx(33_000.0)
-        rng = RNG()
-        samples = [workload.sample(rng)[0] for _ in range(60_000)]
-        assert np.mean(samples) == pytest.approx(33_000.0, rel=0.03)
-
-    def test_transaction_mix_fractions(self):
-        workload = SiloTpccWorkload()
-        rng = RNG()
-        labels = [workload.sample(rng)[1] for _ in range(40_000)]
-        for txn, fraction in TPCC_MIX.items():
-            observed = labels.count(txn) / len(labels)
-            assert observed == pytest.approx(fraction, abs=0.01), txn
-
-    def test_type_means_ordered_by_cost(self):
-        workload = SiloTpccWorkload()
-        assert workload.type_mean_ns("payment") < workload.type_mean_ns(
-            "new_order"
-        ) < workload.type_mean_ns("delivery")
-        with pytest.raises(ValueError):
-            workload.type_mean_ns("checkout")
-
-    def test_runs_on_the_simulator(self):
-        # 16 cores at 33µs S̄ → capacity ≈ 0.48 MRPS; run at ~70%.
-        workload = SiloTpccWorkload()
-        system = RpcValetSystem(
-            SingleQueue(), workload, costs=MicrobenchCosts.lean(), seed=3
-        )
-        result = system.run_point(offered_mrps=0.34, num_requests=5_000)
-        assert result.completed == 5_000
-        assert result.mean_service_ns == pytest.approx(33_220.0, rel=0.05)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SiloTpccWorkload(mean_ns=0.0)
-        with pytest.raises(ValueError):
-            SiloTpccWorkload(cv2=0.0)
 
 
 class TestNonstationaryArrivals:
@@ -77,13 +30,6 @@ class TestNonstationaryArrivals:
         # Burst windows are 10% of time but carry ~2/3 of arrivals
         # (20 / (20*0.1 + 1*0.9) ≈ 0.69).
         assert in_burst.mean() == pytest.approx(0.69, abs=0.05)
-
-    def test_sinusoidal_rate_bounds(self):
-        rate_fn, rate_max = sinusoidal_rate(10.0, 5.0, period=50.0)
-        ts = np.linspace(0, 100, 1000)
-        values = np.array([rate_fn(t) for t in ts])
-        assert values.min() >= 5.0 - 1e-9
-        assert values.max() <= rate_max + 1e-9
 
     def test_subsaturating_bursts_widen_the_16x1_gap(self):
         # Bursts that stay below system capacity (0.5 base / 0.95 burst)
@@ -129,5 +75,3 @@ class TestNonstationaryArrivals:
             nonhomogeneous_poisson(rng, lambda t: 5.0, 1.0, 100.0)
         with pytest.raises(ValueError):
             square_wave_rate(2.0, 1.0, 10.0, 0.5)
-        with pytest.raises(ValueError):
-            sinusoidal_rate(1.0, 2.0, 10.0)
