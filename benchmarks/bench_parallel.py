@@ -74,22 +74,32 @@ def test_parallel_bit_identical(benchmark):
 def test_parallel_speedup(benchmark):
     """Fanning the fig7 sweep across 4 workers beats serial wall-clock.
 
-    ISSUE acceptance: >= 2x on a 4-core box. On 2-3 cores the bound is
-    relaxed to 'meaningfully faster' since the pool can't reach 4-wide.
+    Needs >= 2x on a 4-core box. On 2-3 cores the bound is relaxed to
+    'meaningfully faster' since the pool can't reach 4-wide.
+
+    Serial and 4-worker runs alternate, three of each, the side that
+    goes first swapping every pair, and the best of each side is
+    compared: another process briefly sharing the cores slows one run,
+    not every run of one side.
     """
     num_requests = get_profile(PROFILE).arch_requests
     _run(1, 500)  # warm caches/imports out of the measured runs
 
-    started = time.perf_counter()
-    _run(1, num_requests)
-    serial_s = time.perf_counter() - started
+    def best_of_interleaved(pairs: int = 3):
+        best = {1: float("inf"), 4: float("inf")}
+        for pair in range(pairs):
+            for workers in ((1, 4) if pair % 2 == 0 else (4, 1)):
+                started = time.perf_counter()
+                _run(workers, num_requests)
+                best[workers] = min(best[workers], time.perf_counter() - started)
+        return best[1], best[4]
 
-    started = time.perf_counter()
-    benchmark.pedantic(_run, args=(4, num_requests), rounds=1, iterations=1)
-    parallel_s = time.perf_counter() - started
+    serial_s, parallel_s = benchmark.pedantic(best_of_interleaved, rounds=1, iterations=1)
 
     speedup = serial_s / parallel_s
-    print(f"serial {serial_s:.2f}s, 4 workers {parallel_s:.2f}s -> {speedup:.2f}x")
+    print(
+        f"best of 3: serial {serial_s:.2f}s, 4 workers {parallel_s:.2f}s -> {speedup:.2f}x"
+    )
     required = 2.0 if (os.cpu_count() or 1) >= 4 else 1.2
     assert speedup >= required, (
         f"expected >= {required}x speedup on {os.cpu_count()} cores, "

@@ -7,7 +7,6 @@ from .system import (
     RpcValetSystem,
     run_point_task,
     sweep_many,
-    sweep_telemetry,
 )
 
 __all__ = [
@@ -20,5 +19,4 @@ __all__ = [
     "SCHEME_NAMES",
     "run_point_task",
     "sweep_many",
-    "sweep_telemetry",
 ]

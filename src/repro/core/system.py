@@ -35,7 +35,6 @@ from ..telemetry import (
     TelemetrySnapshot,
     instrument_chip,
     instrument_traffic,
-    merge_snapshots,
 )
 from ..workloads import (
     MicrobenchCosts,
@@ -50,7 +49,6 @@ __all__ = [
     "MessageLog",
     "run_point_task",
     "sweep_many",
-    "sweep_telemetry",
 ]
 
 
@@ -378,20 +376,6 @@ def sweep_many(
         name: SweepResult(label=name, points=series)
         for name, series in points.items()
     }
-
-
-def sweep_telemetry(sweep: SweepResult) -> Optional[TelemetrySnapshot]:
-    """Merge the telemetry snapshots carried by a sweep's points.
-
-    Each telemetry-enabled point stores its snapshot in
-    ``point.extra["telemetry"]``; merging in point order yields one
-    consistent view per curve that is bit-identical at any worker count
-    (see :func:`repro.telemetry.merge_snapshots`). Returns ``None`` when
-    the sweep ran without telemetry.
-    """
-    return merge_snapshots(
-        point.extra.get("telemetry") for point in sweep.points
-    )
 
 
 def _warmup_cutoff(recorder, warmup_fraction: float) -> float:

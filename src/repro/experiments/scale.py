@@ -36,7 +36,7 @@ from ..metrics import format_table
 from ..runner import map_points, task_seed
 from .common import ExperimentResult, get_profile
 
-__all__ = ["run_scale", "NODE_GRIDS"]
+__all__ = ["run_scale", "NODE_GRIDS", "DES_MAX_NODES"]
 
 #: Per-node offered load for every point (same mid-load operating
 #: point as ``ext-rack``: queues form, nothing saturates).
@@ -52,6 +52,12 @@ NODE_GRIDS: Dict[str, Tuple[int, ...]] = {
     "quick": (16, 64, 128, 256, 1024),
     "full": (16, 32, 64, 128, 256, 512, 1024),
 }
+
+#: Largest rack this driver runs on the DES. The auto cross-check uses
+#: the smallest rung (16 nodes); a forced ``--engine des`` would also
+#: put the 256- and 1024-node rungs on it, which ran for minutes past
+#: 1.4 GB at smoke, so such a request is refused before any point runs.
+DES_MAX_NODES = 64
 
 #: Shaped-load ladder: mean per-node rate under a diurnal cycle whose
 #: peak (1.6x) stays below the ~29 MRPS per-node capacity, so the rack
@@ -170,8 +176,10 @@ def run_scale(
 
     ``engine="auto"`` (the default, and the point of the experiment)
     picks the tier per rack size. Forcing ``fast`` or ``fluid`` runs
-    the whole grid on that tier; ``des`` is honored but only sensible
-    on the smallest racks.
+    the whole grid on that tier. Every grid ends at 1024 nodes, so a
+    forced ``des`` (by argument or ``REPRO_ENGINE``) raises
+    ``ValueError`` before anything runs: the DES runs rungs of at most
+    :data:`DES_MAX_NODES` nodes here.
     """
     from ..fastpath import DEFAULT_FLUID_THRESHOLD, resolve_engine
 
@@ -242,6 +250,16 @@ def run_scale(
                     True,
                 )
             )
+
+    too_big = [task[0] for task in tasks if task[6] == "des" and task[1] > DES_MAX_NODES]
+    if too_big:
+        raise ValueError(
+            f"ext-scale runs the DES on racks of at most {DES_MAX_NODES} nodes, but "
+            f"engine={engine!r} puts these rungs on it: {', '.join(too_big)}. Use "
+            "--engine auto (fast/fluid tiers, with a DES cross-check at the smallest "
+            "rack on quick and full) or --engine fast, and unset REPRO_ENGINE if it "
+            "forces des"
+        )
 
     outcome = map_points(
         _run_scale_task,

@@ -411,14 +411,16 @@ def _rack_front_end(
     is_broadcast = isinstance(signal_obj, BroadcastSignal)
     period = signal_obj.period_ns if is_broadcast else 0.0
     next_tick = period
-    snap = [0] * num_nodes
+    # A broadcast snapshot is a tuple: a frozen row, which the policies
+    # may reuse work on until the next tick (see ``RackPolicy.choose``).
+    snap = (0,) * num_nodes
     choose = policy_obj.choose
 
     def route(index: int, client: int, now: float) -> int:
         nonlocal snap, next_tick
         if is_broadcast:
             while now >= next_tick:
-                snap = list(outstanding)
+                snap = tuple(outstanding)
                 next_tick += period
             believe = snap
         elif views is not None:

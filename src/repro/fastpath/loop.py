@@ -26,7 +26,8 @@ exactly the values ``Generator.random()`` and
 ``Generator.integers(low, high)`` would, in the same order, at a
 fraction of numpy's per-call cost. A front-end wraps the generator
 once, after its vectorized draws; from then on the stream is the
-generator's only consumer, because it has read words ahead of use.
+generator's only consumer, because it has read words ahead of use. The
+fault timeline reads its fabric generator through a stream of its own.
 """
 
 from __future__ import annotations
@@ -106,6 +107,9 @@ _SPAN32 = 1 << 32
 
 class RoutingStream:
     """A PCG64 generator's ``random()``/``integers()`` draws, bit for bit.
+
+    It serves any PCG64 stream it consumes alone: the routing stream of
+    a sequential run, and a fault timeline's ``"faults.fabric"`` stream.
 
     A scalar numpy call costs microseconds (about 0.5 µs for
     ``random()`` and 2 µs for ``integers(0, 16)`` on a 2-vCPU VM); this
@@ -197,7 +201,9 @@ class FaultTimeline:
     per-node window lists the loop probes by containment (plans hold a
     handful of events — linear scans beat any index). The fabric stream
     reuses the DES's ``"faults.fabric"`` name from a
-    :class:`~repro.sim.RngRegistry`, so fault-free runs draw nothing.
+    :class:`~repro.sim.RngRegistry`, so fault-free runs draw nothing; the
+    timeline is that generator's only consumer, so it reads it through a
+    :class:`RoutingStream`.
     """
 
     def __init__(self, plan, num_nodes: int, horizon_ns: float, seed: int) -> None:
@@ -225,6 +231,8 @@ class FaultTimeline:
         for windows in self.crash_windows:
             windows.sort()
         self.fabric_windows.sort(key=lambda window: window[0])
+        #: Fabric probabilities outside every window; None without noise.
+        self._noise = plan.fabric_probs() if plan.has_fabric_noise else None
         #: (recovery_time, node) boundaries for server-free-time surgery.
         self.recoveries = sorted(
             (end, node)
@@ -233,7 +241,7 @@ class FaultTimeline:
             if end != math.inf
         )
         self.fabric_rng = (
-            RngRegistry(seed).stream("faults.fabric")
+            RoutingStream(RngRegistry(seed).stream("faults.fabric"))
             if plan.has_fabric_noise or self.fabric_windows
             else None
         )
@@ -250,7 +258,10 @@ class FaultTimeline:
         return cls(plan, num_nodes, float(times[-1]), seed)
 
     def node_down(self, node: int, t_ns: float) -> bool:
-        return any(start <= t_ns < end for start, end in self.crash_windows[node])
+        for start, end in self.crash_windows[node]:
+            if start <= t_ns < end:
+                return True
+        return False
 
     def speed_factor(self, node: int, t_ns: float) -> float:
         factor = 1.0
@@ -267,11 +278,19 @@ class FaultTimeline:
         spike, then dup. Draws only while fabric faults are live, so
         the stream stays aligned with configured windows.
         """
-        active = [window for start, end, window in self.fabric_windows if start <= t_ns < end]
-        if self.fabric_rng is None or not (active or self.plan.has_fabric_noise):
-            return False, 0.0
-        drop, dup, spike, spike_ns = self.plan.fabric_probs(active)
         rng = self.fabric_rng
+        if rng is None:
+            return False, 0.0
+        probs = self._noise
+        if self.fabric_windows:
+            active = [
+                window for start, end, window in self.fabric_windows if start <= t_ns < end
+            ]
+            if active:
+                probs = self.plan.fabric_probs(active)
+        if probs is None:
+            return False, 0.0
+        drop, dup, spike, spike_ns = probs
         if rng.random() < drop:
             self.stats.msg_drops += 1
             return True, 0.0

@@ -223,6 +223,13 @@ class RackPolicy(abc.ABC):
         and otherwise the allowed peers in ``peers_of`` order (the
         router excludes suspected-dead servers); policies must route
         within it.
+
+        A ``believe`` row that is a tuple is a frozen snapshot: the
+        same tuple object always holds the same loads, so a policy may
+        reuse work done on it for as long as ``destinations`` and
+        ``capacities`` are the same objects too (the fast tier's
+        broadcast signal hands over one tuple per tick). A list row
+        may change between calls and is read afresh every time.
         """
 
     def reset(self) -> None:
@@ -307,25 +314,60 @@ class ShortestExpectedDelay(RackPolicy):
     The rule that remains sensible on an asymmetric rack: a node with
     twice the cores (or clock) absorbs twice the queue for the same
     expected delay.
+
+    On a frozen (tuple) row the scan's tie list is kept per ``(client,
+    candidates)`` until the row, ``destinations`` or ``capacities``
+    changes: a broadcast snapshot serves thousands of decisions, and
+    only the tie draw differs between them. The memo holds the row
+    itself, so its id cannot be reused by a new row.
     """
 
     label = "sed"
     uses_load_signal = True
 
+    def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        #: The (row, destinations, capacities) the tie lists were scanned on.
+        self._frame: tuple = (None, None, None)
+        self._ties: Dict[tuple, List[int]] = {}
+
     def choose(self, client, destinations, believe, candidates, capacities, rng):
-        # Ties are collected in peers_of order: the tie draw's index
-        # depends on it.
-        nodes = destinations.peers_of(client) if candidates is None else candidates
-        best = math.inf
-        tied: List[int] = []
-        for node in nodes:
-            score = (float(believe[node]) + 1.0) / capacities[node]
-            if score < best:
-                best = score
-                tied = [node]
-            elif score == best:
-                tied.append(node)
+        if type(believe) is not tuple or type(candidates) is list:
+            # A live row, or unhashable candidates: scan every call.
+            tied = _sed_ties(client, destinations, believe, candidates, capacities)
+            return _pick_tied(tied, rng)
+        row, memo_destinations, memo_capacities = self._frame
+        if believe is not row or destinations is not memo_destinations or (
+            capacities is not memo_capacities
+        ):
+            self._frame = (believe, destinations, capacities)
+            self._ties = {}
+        ties = self._ties
+        key = (client, candidates)
+        tied = ties.get(key)
+        if tied is None:
+            tied = ties[key] = _sed_ties(client, destinations, believe, candidates, capacities)
         return _pick_tied(tied, rng)
+
+
+def _sed_ties(client, destinations, believe, candidates, capacities) -> List[int]:
+    """The peers of least ``(believe + 1) / capacity``, in ``peers_of`` order.
+
+    The order matters: the tie draw's index depends on it.
+    """
+    nodes = destinations.peers_of(client) if candidates is None else candidates
+    best = math.inf
+    tied: List[int] = []
+    for node in nodes:
+        score = (float(believe[node]) + 1.0) / capacities[node]
+        if score < best:
+            best = score
+            tied = [node]
+        elif score == best:
+            tied.append(node)
+    return tied
 
 
 def make_policy(spec: str) -> RackPolicy:

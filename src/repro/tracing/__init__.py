@@ -47,7 +47,6 @@ from .spans import (
     TraceBuffer,
     TraceConfig,
     Tracer,
-    merge_trace_buffers,
 )
 
 __all__ = [
@@ -57,7 +56,6 @@ __all__ = [
     "RpcTrace",
     "TraceBuffer",
     "Tracer",
-    "merge_trace_buffers",
     "AttributionReport",
     "CohortReport",
     "attribute_tails",

@@ -13,15 +13,13 @@ Instrumentation discipline mirrors PR 2's telemetry: every hot-path
 site is a bare ``is not None`` check against ``cluster.tracer`` (or a
 span reference already in hand), sampling is a per-client modular
 counter (**no RNG draws**, so traced and untraced runs consume
-identical variate sequences), and per-task :class:`TraceBuffer`\\ s
-merge by concatenation in task order — bit-identical at any worker
-count, the same contract as :func:`repro.telemetry.merge_snapshots`.
+identical variate sequences).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "PHASES",
@@ -30,7 +28,6 @@ __all__ = [
     "RpcTrace",
     "TraceBuffer",
     "Tracer",
-    "merge_trace_buffers",
 ]
 
 #: The end-to-end decomposition, in causal order. For a completed
@@ -286,12 +283,7 @@ class RpcTrace:
 
 
 class TraceBuffer:
-    """Mergeable container of one run's (or task's) traces.
-
-    Merging concatenates in call order; the runner merges per-task
-    buffers in task order, which makes the combined buffer bit-identical
-    at any worker count.
-    """
+    """Container of one run's traces."""
 
     __slots__ = ("traces", "faults", "offered", "sampled", "dropped")
 
@@ -303,14 +295,6 @@ class TraceBuffer:
         self.offered = 0
         self.sampled = 0
         self.dropped = 0
-
-    def merge(self, other: "TraceBuffer") -> "TraceBuffer":
-        self.traces.extend(other.traces)
-        self.faults.extend(other.faults)
-        self.offered += other.offered
-        self.sampled += other.sampled
-        self.dropped += other.dropped
-        return self
 
     def completed(self) -> Iterator[RpcTrace]:
         """Traces that resolved successfully (phase-decomposable)."""
@@ -327,14 +311,6 @@ class TraceBuffer:
             f"<TraceBuffer traces={len(self.traces)} offered={self.offered} "
             f"dropped={self.dropped}>"
         )
-
-
-def merge_trace_buffers(buffers: Iterable[TraceBuffer]) -> TraceBuffer:
-    """Merge per-task buffers, in iteration order, into one."""
-    merged = TraceBuffer()
-    for buffer in buffers:
-        merged.merge(buffer)
-    return merged
 
 
 class Tracer:

@@ -31,6 +31,7 @@ from repro.datacenter import (
     simulate_datacenter_fast,
 )
 from repro.faults import FaultPlan
+from repro.faults.plan import FabricDegradation
 from repro.fastpath import simulate_rack_fast
 
 
@@ -73,6 +74,19 @@ def _rack(**kwargs):
     return lambda: _key(simulate_rack_fast(**base))
 
 
+def _rack_with_fates(**kwargs):
+    """``_rack``'s key plus the fabric fate counts (drops, spikes, dups)."""
+    base = dict(num_nodes=6, per_node_mrps=24.0, requests_per_node=250, seed=3)
+    base.update(kwargs)
+
+    def run():
+        result = simulate_rack_fast(**base)
+        fates = result.fault_stats
+        return _key(result) + ((fates.msg_drops, fates.delay_spikes, fates.msg_dups),)
+
+    return run
+
+
 def _des(hierarchy, policy, skew):
     topo = DatacenterTopology(2, 4)
 
@@ -93,6 +107,20 @@ def _des(hierarchy, policy, skew):
 
 
 FAULTS = FaultPlan(crash_rate_hz=2e4, drop_prob=0.01, spike_prob=0.02, spike_ns=1_500.0)
+
+#: Two overlapping degradation windows inside a ~10 µs run, on top of
+#: steady duplication: fates drawn outside, inside one and inside both.
+FABRIC_WINDOWS = FaultPlan(
+    events=(
+        FabricDegradation(
+            at_ns=2_000.0, duration_ns=4_000.0, drop_prob=0.05, spike_prob=0.2, spike_ns=900.0
+        ),
+        FabricDegradation(
+            at_ns=4_000.0, duration_ns=3_000.0, dup_prob=0.3, spike_prob=0.1, spike_ns=400.0
+        ),
+    ),
+    dup_prob=0.02,
+)
 
 
 def _golden_cases():
@@ -117,6 +145,17 @@ def _golden_cases():
     )
     cases["rack/jsq2/faults/16x1"] = _rack(
         policy="jsq2", signal="piggyback", scheme="16x1", per_node_mrps=20.0, faults=FAULTS
+    )
+    # Light load on mixed 16/8-core nodes: nearly every SED decision
+    # breaks a tie, within and across the two capacities.
+    cases["rack/sed/broadcast/hetero"] = _rack(
+        policy="sed", signal="broadcast:2000", core_counts=[16, 8, 16, 8, 16, 8],
+        per_node_mrps=8.0,
+    )
+    # Overlapping fabric-degradation windows on top of steady
+    # duplication: the live-window fate path.
+    cases["rack/jsq2/fabric-windows"] = _rack_with_fates(
+        policy="jsq2", signal="piggyback", faults=FABRIC_WINDOWS
     )
     cases["des/flat/jsq2/skew0.6"] = _des("flat", "jsq2", 0.6)
     cases["des/racksched/sed/skew0"] = _des("racksched", "sed", 0.0)
@@ -161,6 +200,8 @@ GOLDEN = {
     "rack/random/skew1.2/slots/16x1": (675.4442715471315, 1973.939015288645, 0, 0.0, None, "7d830397e947e6057bf9"),
     "rack/sed/broadcast/1x16": (1076.602154804978, 5752.563487860803, 0, 66683.0, None, "a7e4fbd3ea3744976335"),
     "rack/sed/piggyback/16x1": (1102.6755009012156, 3594.4848854397824, 0, 10098.0, None, "75d4923e5ade806e455a"),
+    "rack/sed/broadcast/hetero": (611.2632706717059, 1327.5563370502387, 0, 11793.0, None, "facfd72ea72ea5268780"),
+    "rack/jsq2/fabric-windows": (644.3017158323044, 1299.2965786777006, 36, 4895.0, None, "26791e82c8e628844d95", (36, 134, 152)),
 }
 
 

@@ -534,3 +534,19 @@ class TestScaleDriver:
         # Every grid size reports a wall clock.
         for row in result.data["points"].values():
             assert row["wall_s"] >= 0.0
+
+    @pytest.mark.parametrize("profile", ["smoke", "quick"])
+    def test_forced_des_refuses_large_rungs_before_running(self, profile, monkeypatch):
+        from repro.experiments import scale
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("ext-scale simulated before refusing the DES request")
+
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        monkeypatch.setattr(scale, "map_points", no_simulation)
+        with pytest.raises(ValueError, match="--engine auto") as refusal:
+            scale.run_scale(profile, engine="des")
+        message = str(refusal.value)
+        assert f"at most {scale.DES_MAX_NODES} nodes" in message
+        assert "1024/random/des" in message and "shaped/256/jsq2/des" in message
+        assert "16/random/des" not in message

@@ -556,3 +556,73 @@ class TestLegacyPathUntouched:
         result = cluster.run(per_node_mrps=10.0, requests_per_node=200)
         assert result.fault_stats is None and result.e2e is None
         assert result.offered == 0 and result.goodput_fraction == 1.0
+
+
+def _reference_fates(plan, seed, times):
+    """``(dropped, delay, duplicated)`` per time: one numpy ``Generator``
+    call per variate in the injector's order (drop, spike, dup), the live
+    windows found anew for every traversal."""
+    from repro.sim import RngRegistry
+
+    rng = RngRegistry(seed).stream("faults.fabric")
+    windows = [
+        (event.at_ns, event.at_ns + event.duration_ns, event)
+        for event in plan.events
+        if isinstance(event, FabricDegradation)
+    ]
+    fates = []
+    for t_ns in times:
+        active = [window for start, end, window in windows if start <= t_ns < end]
+        if not (active or plan.has_fabric_noise):
+            fates.append((False, 0.0, False))
+            continue
+        drop, dup, spike, spike_ns = plan.fabric_probs(active)
+        if rng.random() < drop:
+            fates.append((True, 0.0, False))
+            continue
+        delay = spike_ns if spike > 0 and rng.random() < spike else 0.0
+        fates.append((False, delay, dup > 0 and rng.random() < dup))
+    return fates
+
+
+class TestFastFaultTimeline:
+    """The fast tier's fabric fates are the Generator-driven ones."""
+
+    NOISE = dict(drop_prob=0.05, dup_prob=0.1, spike_prob=0.2, spike_ns=700.0)
+    WINDOWS = (
+        FabricDegradation(at_ns=1_000.0, duration_ns=2_000.0, drop_prob=0.1,
+                          spike_prob=0.3, spike_ns=500.0),
+        FabricDegradation(at_ns=2_500.0, duration_ns=2_000.0, dup_prob=0.4,
+                          spike_prob=0.1, spike_ns=900.0),
+    )
+
+    @pytest.mark.parametrize("plan", [
+        FaultPlan(**NOISE),
+        FaultPlan(events=WINDOWS),
+        FaultPlan(events=WINDOWS, **NOISE),
+    ], ids=["noise", "windows", "both"])
+    def test_fates_match_generator_reference(self, plan):
+        from repro.fastpath.loop import FaultTimeline
+
+        # Unsorted times before, inside one, inside both and past the
+        # windows; enough draws to cross the stream's refills.
+        times = np.random.default_rng(4).uniform(0.0, 6_000.0, 5_000).tolist()
+        timeline = FaultTimeline(plan, num_nodes=4, horizon_ns=6_000.0, seed=11)
+        fates = []
+        for t_ns in times:
+            dups = timeline.stats.msg_dups
+            dropped, delay = timeline.fabric_fate(t_ns)
+            fates.append((dropped, delay, timeline.stats.msg_dups > dups))
+        assert fates == _reference_fates(plan, 11, times)
+        assert timeline.stats.msg_drops == sum(fate[0] for fate in fates) > 0
+
+    def test_node_down_is_window_containment(self):
+        from repro.fastpath.loop import FaultTimeline
+
+        plan = FaultPlan(events=(NodeCrash(1, at_ns=100.0, outage_ns=50.0),
+                                 NodeCrash(1, at_ns=400.0)))
+        timeline = FaultTimeline(plan, num_nodes=2, horizon_ns=1_000.0, seed=0)
+        assert [timeline.node_down(1, t) for t in (99.0, 100.0, 149.0, 150.0, 400.0, 1e9)] == [
+            False, True, True, False, True, True
+        ]
+        assert not timeline.node_down(0, 120.0)

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Cluster, mesh_geometry
 from repro.experiments.rack import (
@@ -105,6 +107,74 @@ class TestPolicies:
         # Twice the capacity absorbs twice the queue for the same delay.
         believe = [0.0, 2.0, 7.0]
         assert policy.choose(0, dests, believe, None, capacities, rng) == 1
+
+
+@st.composite
+def _frozen_row_runs(draw):
+    """Node count, capacities, and snapshots each with its decisions.
+
+    Loads are small ints, so ties are common; the capacities mix 1, 2
+    and 4, so ties also cross capacity classes. A decision is a client
+    and a candidate mask (empty: every peer).
+    """
+    nodes = draw(st.integers(2, 8))
+    capacities = draw(
+        st.lists(st.sampled_from([1.0, 2.0, 4.0]), min_size=nodes, max_size=nodes)
+    )
+    decision = st.tuples(
+        st.integers(0, nodes - 1),
+        st.lists(st.booleans(), min_size=nodes - 1, max_size=nodes - 1),
+    )
+    snapshots = draw(st.lists(
+        st.tuples(
+            st.lists(st.integers(0, 3), min_size=nodes, max_size=nodes),
+            st.lists(decision, min_size=1, max_size=12),
+            st.booleans(),  # rescale the capacities in place and reset()
+        ),
+        min_size=1, max_size=5,
+    ))
+    return nodes, capacities, snapshots
+
+
+class TestSedFrozenRows:
+    """SED's tie memo on tuple rows decides as the per-call scan does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_frozen_row_runs(), st.integers(0, 2**32 - 1))
+    def test_memo_matches_list_scan(self, run, seed):
+        nodes, capacities, snapshots = run
+        dests = ZipfDestinations(nodes)
+        memoized, scanned = ShortestExpectedDelay(), ShortestExpectedDelay()
+        rng_memo, rng_scan = np.random.default_rng(seed), np.random.default_rng(seed)
+        for loads, decisions, rescale in snapshots:
+            if rescale:
+                # Same list object, new values: only reset() may clear
+                # ties scanned on the old capacities.
+                capacities[:] = [value * 2.0 if node % 2 else value
+                                 for node, value in enumerate(capacities)]
+                memoized.reset()
+            row = tuple(loads)  # a new tuple per snapshot
+            for client, mask in decisions:
+                peers = dests.peers_of(client)
+                allowed = tuple(node for node, keep in zip(peers, mask) if keep)
+                candidates = allowed or None
+                got = memoized.choose(client, dests, row, candidates, capacities, rng_memo)
+                want = scanned.choose(
+                    client, dests, list(row), candidates, capacities, rng_scan
+                )
+                assert got == want
+        assert rng_memo.bit_generator.state == rng_scan.bit_generator.state
+
+    def test_reset_forgets_the_row(self):
+        dests = ZipfDestinations(3)
+        rng = np.random.default_rng(0)
+        policy = ShortestExpectedDelay()
+        row, capacities = (0, 5, 1), [1.0, 1.0, 1.0]
+        assert policy.choose(0, dests, row, None, capacities, rng) == 2
+        capacities[2] = 0.1  # violates the frozen contract; reset() repairs it
+        assert policy.choose(0, dests, row, None, capacities, rng) == 2
+        policy.reset()
+        assert policy.choose(0, dests, row, None, capacities, rng) == 1
 
 
 class TestSignals:

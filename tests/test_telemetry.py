@@ -19,7 +19,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core import make_system, sweep_many, sweep_telemetry
+from repro.core import make_system, sweep_many
 from repro.telemetry import (
     Counter,
     Histogram,
@@ -347,13 +347,18 @@ def _telemetry_sweep(workers):
     )
 
 
+def _merged(sweep):
+    """The sweep's per-point snapshots merged in point order."""
+    return merge_snapshots(point.extra["telemetry"] for point in sweep.points)
+
+
 def test_merged_telemetry_identical_across_worker_counts():
     """The tentpole contract: workers=2 merges bit-identically to serial."""
     serial = _telemetry_sweep(1)
     parallel = _telemetry_sweep(2)
     for scheme in ("1x16", "16x1"):
-        a = sweep_telemetry(serial[scheme])
-        b = sweep_telemetry(parallel[scheme])
+        a = _merged(serial[scheme])
+        b = _merged(parallel[scheme])
         assert a.counters == b.counters
         assert a.histograms == b.histograms
         assert sorted(a.series) == sorted(b.series)
@@ -362,9 +367,3 @@ def test_merged_telemetry_identical_across_worker_counts():
         for mine, theirs in zip(serial[scheme].points, parallel[scheme].points):
             assert mine.summary.mean == theirs.summary.mean
             assert mine.p99 == theirs.p99
-
-
-def test_sweep_telemetry_none_without_instrumentation():
-    system = make_system("1x16", "synthetic-fixed", seed=5)
-    sweep = system.sweep([8.0], num_requests=400)
-    assert sweep_telemetry(sweep) is None

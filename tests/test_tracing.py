@@ -27,11 +27,9 @@ from repro.rack import RackRouter
 from repro.tracing import (
     PHASES,
     TraceConfig,
-    Tracer,
     attribute_tails,
     attribution_to_dict,
     export_span_trace,
-    merge_trace_buffers,
     render_exemplar,
 )
 
@@ -154,14 +152,6 @@ class TestPurity:
 
 
 class TestDeterminism:
-    def test_merge_is_concatenation_in_task_order(self):
-        tracer_a, tracer_b = Tracer(TraceConfig()), Tracer(TraceConfig())
-        a = tracer_a.maybe_trace(0, 1.0)
-        b = tracer_b.maybe_trace(1, 2.0)
-        merged = merge_trace_buffers([tracer_a.buffer, tracer_b.buffer])
-        assert merged.traces == [a, b]
-        assert merged.offered == 2
-
     def test_run_tails_identical_across_worker_counts(self):
         serial = run_tails(profile="smoke", seed=3, workers=1)
         fanned = run_tails(profile="smoke", seed=3, workers=2)

@@ -101,9 +101,9 @@ def runs(scratch: pathlib.Path):
     for name in sorted(ENGINE_AWARE):
         for engine in ENGINES:
             if (name, engine) == ("ext-scale", "des"):
-                # Its smoke grid on the DES simulates a 1024-node rack
-                # (minutes, >1 GB); quick reaches the same DES branch
-                # through its 16-node cross-check.
+                # Forced onto the DES, its grid's 1024-node rung is
+                # refused (scale.DES_MAX_NODES); quick reaches the DES
+                # branch through its 16-node cross-check.
                 yield "ext-scale --profile quick", lambda: cli(
                     ["ext-scale", "--profile", "quick"]
                 )
