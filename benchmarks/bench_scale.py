@@ -14,6 +14,5 @@ def test_scale(benchmark, profile, emit):
     assert data["largest_point_wall_s"] < 10.0
     # JSQ(2) still beats random spray at the largest rack.
     assert data["advantage_at_largest"] > 1.0
-    # Fluid tier tracks the fast tier at the overlap size.
-    for entry in data["overlap"].values():
-        assert abs(entry["p99_delta"]) < 0.15
+    # Fluid tier tracks the fast tier (p50 and p99) at the overlap size.
+    assert data["overlap"]["worst_abs_delta"] < 0.15

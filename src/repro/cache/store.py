@@ -109,10 +109,10 @@ class ResultCache:
         The key covers the callable's identity, the full task config
         (including its seed), the sim-code fingerprint, and the cache
         format version. Engine tiers need no extra discriminator: each
-        tier runs through its own task callable (e.g.
-        ``_run_diurnal_task`` vs ``_run_diurnal_fast_task``), shaped
-        arrival processes and calibrated chip profiles ride inside the
-        task config, and the capability matrix itself lives in
+        task names its tier inside the task config (e.g. ext-diurnal's
+        ``("des", ...)`` vs ``("fast", ...)`` tasks), shaped arrival
+        processes and calibrated chip profiles ride there too, and the
+        capability matrix itself lives in
         ``repro.fastpath`` source, which the code fingerprint covers.
         """
         try:

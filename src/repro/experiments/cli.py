@@ -92,10 +92,13 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
 #: processes and fault plans run on the per-RPC tiers, deterministic
 #: rate profiles additionally on the fluid tier's transient ODE,
 #: ``ext-datacenter``'s two-level routing pins it to the per-RPC
-#: tiers (the ``hierarchy`` capability), and ``ext-tails`` stays
-#: DES-only — span tracing instruments the discrete-event hot paths
-#: themselves, so its driver rejects every other tier with an
-#: actionable error.
+#: tiers (the ``hierarchy`` capability), and ``ext-tails`` needs the
+#: ``tracing`` capability, which only the DES has (span tracing
+#: instruments the discrete-event hot paths themselves): ``auto``
+#: resolves to ``des`` and an explicit ``fast``/``fluid`` raises the
+#: standard capability error. The cross-checks these drivers append
+#: on quick/full all build their table through
+#: :func:`repro.experiments.common.tier_check`.
 ENGINE_AWARE = frozenset(
     {"ext-rack", "ext-scale", "ext-tails", "ext-diurnal", "ext-datacenter",
      "headline"}

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
+
+from ..metrics import format_table
 
 __all__ = [
     "Profile",
@@ -25,6 +27,7 @@ __all__ = [
     "ExperimentResult",
     "load_grid",
     "calibrate_mean_service_ns",
+    "tier_check",
 ]
 
 
@@ -114,12 +117,64 @@ def calibrate_mean_service_ns(
         labels=[f"calibrate {scheme}/{workload} (seed {seed})"],
         progress=False,
     )
-    result = outcome.results[0]
-    if result is None:
-        raise RuntimeError(
-            f"calibration run failed: {'; '.join(outcome.findings())}"
+    return outcome.require("calibration run")[0].mean_service_ns
+
+
+def tier_check(
+    pairs: Sequence[Tuple[str, Mapping[str, float], Mapping[str, float]]],
+    reference: str,
+    candidate: str,
+    title: str,
+) -> Tuple[str, Dict[str, Any], str]:
+    """Paired p50/p99 agreement of a candidate tier with a reference tier.
+
+    Each pair is ``(label, reference_row, candidate_row)``; a row
+    carries ``p50_ns`` and ``p99_ns``, and optionally ``wall_s``. A
+    delta is ``candidate / reference - 1``. Returns the rendered table
+    (one ``[... took ...s]`` line per pair whose rows both carry a wall
+    time), the data block ``{"deltas": {label: {"p50_delta",
+    "p99_delta"}}, "worst_abs_delta"}`` with the worst taken over both
+    percentiles, and the finding line.
+    """
+    if not pairs:
+        raise ValueError("tier_check needs at least one (label, reference, candidate) pair")
+    rows = []
+    walls = []
+    deltas: Dict[str, Dict[str, float]] = {}
+    for label, ref, cand in pairs:
+        p50_delta = float(cand["p50_ns"]) / float(ref["p50_ns"]) - 1.0
+        p99_delta = float(cand["p99_ns"]) / float(ref["p99_ns"]) - 1.0
+        deltas[label] = {"p50_delta": p50_delta, "p99_delta": p99_delta}
+        rows.append(
+            [label, ref["p50_ns"], cand["p50_ns"], f"{p50_delta:+.1%}",
+             ref["p99_ns"], cand["p99_ns"], f"{p99_delta:+.1%}"]
         )
-    return result.mean_service_ns
+        if "wall_s" in ref and "wall_s" in cand:
+            walls.append(
+                f"  [{label} {reference} took {ref['wall_s']:.3f}s, "
+                f"{candidate} took {cand['wall_s']:.3f}s]"
+            )
+    worst_label, worst = max(
+        (
+            (label, max(abs(entry["p50_delta"]), abs(entry["p99_delta"])))
+            for label, entry in deltas.items()
+        ),
+        key=lambda item: item[1],
+    )
+    table = format_table(
+        ["point", f"{reference} p50 (ns)", f"{candidate} p50 (ns)",
+         "p50 delta", f"{reference} p99 (ns)", f"{candidate} p99 (ns)",
+         "p99 delta"],
+        rows,
+        title=title,
+    )
+    if walls:
+        table += "\n" + "\n".join(walls)
+    finding = (
+        f"{candidate}-vs-{reference} p50/p99 agreement is within "
+        f"{worst:.1%} over {len(deltas)} paired points (worst: {worst_label})"
+    )
+    return table, {"deltas": deltas, "worst_abs_delta": worst}, finding
 
 
 @dataclass

@@ -36,9 +36,10 @@ single-chip scheme surrogates pin it to ``fast``, and explicitly
 requesting ``fluid`` raises with the supported alternatives.
 ``engine="des"`` runs the original ground-truth path, byte-identical
 to the historical DES-only driver. On the ``quick``/``full`` profiles
-a surrogate run appends a DES cross-check table: both engines rerun
-the sub-critical overlap points under common random numbers and the
-p50/p99 deltas are tabulated (EXPERIMENTS.md documents the 15% band;
+a surrogate run appends a DES cross-check table: the same batch reruns
+the sub-critical overlap points on the DES under common random numbers
+and :func:`~repro.experiments.common.tier_check` tabulates the p50/p99
+deltas (EXPERIMENTS.md documents the 15% band;
 at/above capacity the surrogate is not gated — critical-regime tails
 are calibration-sensitive on every tier but the DES). All points fan
 out through :func:`repro.runner.map_points` under per-task seeds —
@@ -56,6 +57,7 @@ from .common import (
     calibrate_mean_service_ns,
     capacity_grid,
     get_profile,
+    tier_check,
 )
 
 __all__ = ["run_diurnal", "make_arrival_process", "PROFILE_KINDS"]
@@ -136,65 +138,46 @@ def make_arrival_process(kind: str, rate_rps: float, horizon_ns: float):
     )
 
 
-#: One task: (scheme, kind, load_mrps, requests, warmup, seed).
-_Task = Tuple[str, str, float, int, float, int]
-
-#: One fast-tier task: a DES task plus the chip's calibrated
+#: One task: (tier, scheme, kind, load_mrps, requests, warmup, seed,
+#: chip_profile). ``chip_profile`` is the fast tier's calibrated
 #: ``(occupancy_ns, shift_ns)`` split, computed once in the parent so
-#: pool workers never redo the DES probes.
-_FastTask = Tuple[str, str, float, int, float, int, Tuple[float, float]]
+#: pool workers never redo the DES probes; ``None`` on the DES.
+_Task = Tuple[str, str, str, float, int, float, int, Optional[Tuple[float, float]]]
 
 
 def _run_diurnal_task(task: _Task) -> dict:
-    """One (policy, profile, load) point (pool-safe module function)."""
-    scheme, kind, load_mrps, requests, warmup, seed = task
-    from ..core import make_system
+    """One (policy, profile, load) point on one tier (pool-safe).
 
-    system = make_system(scheme, "herd", seed=seed)
-    horizon_ns = requests / (load_mrps * 1e6) * 1e9
-    system.arrival_process = make_arrival_process(
-        kind, load_mrps * 1e6, horizon_ns
-    )
-    result = system.run_point(
-        load_mrps, num_requests=requests, warmup_fraction=warmup
-    )
-    return {
-        "scheme": scheme,
-        "kind": kind,
-        "point": result.point,
-        "stall_fraction": result.stall_fraction,
-    }
-
-
-def _run_diurnal_fast_task(task: _FastTask) -> dict:
-    """One fast-tier (policy, profile, load) point (pool-safe).
-
-    Same task shape, seed, and arrival process as
-    :func:`_run_diurnal_task`; the chip is the calibrated FIFO
-    surrogate instead of the per-event NI pipeline.
+    Both tiers see the same seed and arrival process; the fast tier's
+    chip is the calibrated FIFO surrogate instead of the per-event NI
+    pipeline.
     """
-    scheme, kind, load_mrps, requests, warmup, seed, chip_profile = task
-    from ..fastpath.fastchip import fast_chip_point
-    from ..workloads import HerdWorkload
-
+    tier, scheme, kind, load_mrps, requests, warmup, seed, chip_profile = task
     horizon_ns = requests / (load_mrps * 1e6) * 1e9
     process = make_arrival_process(kind, load_mrps * 1e6, horizon_ns)
-    point = fast_chip_point(
-        scheme,
-        HerdWorkload(),
-        load_mrps,
-        requests,
-        seed,
-        chip_profile,
-        arrival_process=process,
-        warmup_fraction=warmup,
-    )
-    return {
-        "scheme": scheme,
-        "kind": kind,
-        "point": point,
-        "stall_fraction": float(point.extra["stall_fraction"]),
-    }
+    if tier == "des":
+        from ..core import make_system
+
+        system = make_system(scheme, "herd", seed=seed)
+        system.arrival_process = process
+        point = system.run_point(
+            load_mrps, num_requests=requests, warmup_fraction=warmup
+        ).point
+    else:
+        from ..fastpath.fastchip import fast_chip_point
+        from ..workloads import HerdWorkload
+
+        point = fast_chip_point(
+            scheme,
+            HerdWorkload(),
+            load_mrps,
+            requests,
+            seed,
+            chip_profile,
+            arrival_process=process,
+            warmup_fraction=warmup,
+        )
+    return {"p50_ns": point.summary.p50, "p99_ns": point.p99, "point": point}
 
 
 #: Surrogate runs cross-check against the DES only below this capacity
@@ -247,45 +230,63 @@ def run_diurnal(
             scheme: calibrated_chip_profile(scheme) for scheme in SCHEMES
         }
 
-    tasks: List[tuple] = []
+    tasks: List[_Task] = []
     labels: List[str] = []
     hints: List[float] = []
     for scheme in SCHEMES:
         for kind in PROFILE_KINDS:
             for index, load in enumerate(loads):
-                task = (
-                    scheme,
-                    kind,
-                    load,
-                    requests,
-                    prof.warmup_fraction,
-                    task_seed("ext-diurnal", f"{scheme}/{kind}", index, seed),
+                tasks.append(
+                    (
+                        resolved,
+                        scheme,
+                        kind,
+                        load,
+                        requests,
+                        prof.warmup_fraction,
+                        task_seed("ext-diurnal", f"{scheme}/{kind}", index, seed),
+                        chip_profiles[scheme] if chip_profiles else None,
+                    )
                 )
-                if chip_profiles is not None:
-                    task = task + (chip_profiles[scheme],)
-                tasks.append(task)
                 labels.append(f"{scheme}/{kind}[{index}]@{load:.2f}")
                 # Bursty profiles build backlog: schedule them first.
                 hints.append(load * (1.0 if kind == "constant" else 1.5))
-    outcome = map_points(
-        _run_diurnal_task if resolved == "des" else _run_diurnal_fast_task,
+    sweep_tasks = len(tasks)
+
+    # DES cross-check (quick/full surrogate runs): the mid-grid point
+    # and the highest sub-critical fraction, both below
+    # OVERLAP_MAX_FRACTION of capacity, rerun on the DES with the
+    # surrogate task's exact seed, so each delta is engine error, not
+    # sampling noise.
+    overlap: List[int] = []
+    if resolved != "des" and prof.name != "smoke":
+        overlap = sorted(
+            index
+            for index in {len(loads) // 2, len(loads) - 3}
+            if loads[index] <= OVERLAP_MAX_FRACTION * capacity_mrps
+        )
+    checked: List[int] = []
+    for position, task in enumerate(tasks[:sweep_tasks]):
+        if position % len(loads) in overlap:  # the load index is innermost
+            tasks.append(("des",) + task[1:7] + (None,))
+            labels.append(f"des-check {labels[position]}")
+            hints.append(4.0 * hints[position])  # the DES costs more: start it first
+            checked.append(position)
+
+    results = map_points(
+        _run_diurnal_task,
         tasks,
         workers=workers,
         labels=labels,
         progress_label="ext-diurnal",
         cost_hints=hints,
-    )
+    ).require("ext-diurnal")
 
     curves: Dict[Tuple[str, str], List] = {
         (scheme, kind): [] for scheme in SCHEMES for kind in PROFILE_KINDS
     }
-    for task, row in zip(tasks, outcome.results):
-        if row is None:
-            raise RuntimeError(
-                f"ext-diurnal point {task[0]}/{task[1]}@{task[2]:.2f} "
-                f"failed: {outcome.findings()}"
-            )
-        curves[(row["scheme"], row["kind"])].append(row["point"])
+    for task, row in zip(tasks, results[:sweep_tasks]):
+        curves[(task[1], task[2])].append(row["point"])
 
     sweeps: Dict[str, SweepResult] = {}
     capacity: Dict[str, Dict[str, float]] = {s: {} for s in SCHEMES}
@@ -374,11 +375,27 @@ def run_diurnal(
             f"engine={resolved}: calibrated-chip surrogate under common "
             "random numbers (ground truth: --engine des)"
         )
-        if prof.name != "smoke":
-            _append_des_check(
-                tasks, curves, loads, capacity_mrps, workers,
-                data, tables, findings,
+    if checked:
+        pairs = [
+            (
+                f"{tasks[position][1]}/{tasks[position][2]}"
+                f"@{tasks[position][3]:.2f}",
+                des_row,
+                results[position],
             )
+            for position, des_row in zip(checked, results[sweep_tasks:])
+        ]
+        table, check, finding = tier_check(
+            pairs,
+            "des",
+            "fast",
+            "Ground-truth cross-check on the sub-critical overlap grid "
+            "(common random numbers)",
+        )
+        check["loads"] = [loads[index] for index in overlap]
+        data["des_check"] = check
+        tables.append(table)
+        findings.append(finding)
 
     return ExperimentResult(
         "ext-diurnal",
@@ -387,114 +404,4 @@ def run_diurnal(
         data=data,
         tables=tables,
         findings=findings,
-    )
-
-
-def _append_des_check(
-    tasks, curves, loads, capacity_mrps, workers, data, tables, findings
-) -> None:
-    """Rerun the sub-critical overlap points on the DES and tabulate.
-
-    Common random numbers make this a paired comparison: each DES task
-    reuses the surrogate task's exact seed, so the tabulated deltas
-    are engine error, not sampling noise. The overlap grid is the
-    mid-grid point plus the highest sub-critical fraction (both below
-    :data:`OVERLAP_MAX_FRACTION` of capacity — see the module
-    docstring for why saturated points are not gated).
-    """
-    mid_index = len(loads) // 2
-    overlap = sorted(
-        {
-            index
-            for index in (mid_index, len(loads) - 3)
-            if loads[index] <= OVERLAP_MAX_FRACTION * capacity_mrps
-        }
-    )
-    if not overlap:
-        return
-    des_tasks: List[_Task] = []
-    des_labels: List[str] = []
-    for scheme in SCHEMES:
-        for kind in PROFILE_KINDS:
-            for index in overlap:
-                fast_task = tasks[
-                    (SCHEMES.index(scheme) * len(PROFILE_KINDS)
-                     + PROFILE_KINDS.index(kind)) * len(loads) + index
-                ]
-                des_tasks.append(tuple(fast_task[:6]))
-                des_labels.append(
-                    f"des-check {scheme}/{kind}[{index}]@{loads[index]:.2f}"
-                )
-    outcome = map_points(
-        _run_diurnal_task,
-        des_tasks,
-        workers=workers,
-        labels=des_labels,
-        progress_label="ext-diurnal des-check",
-    )
-    rows = []
-    deltas: Dict[str, Dict[str, float]] = {}
-    cursor = 0
-    for scheme in SCHEMES:
-        for kind in PROFILE_KINDS:
-            for index in overlap:
-                des_row = outcome.results[cursor]
-                cursor += 1
-                if des_row is None:
-                    raise RuntimeError(
-                        f"ext-diurnal des-check {scheme}/{kind}"
-                        f"@{loads[index]:.2f} failed: {outcome.findings()}"
-                    )
-                fast_point = curves[(scheme, kind)][index]
-                des_point = des_row["point"]
-                p50_delta = (
-                    fast_point.summary.p50 / des_point.summary.p50 - 1.0
-                )
-                p99_delta = fast_point.p99 / des_point.p99 - 1.0
-                key = f"{scheme}/{kind}@{loads[index]:.2f}"
-                deltas[key] = {
-                    "p50_delta": p50_delta,
-                    "p99_delta": p99_delta,
-                }
-                rows.append(
-                    [
-                        key,
-                        des_point.summary.p50,
-                        fast_point.summary.p50,
-                        f"{p50_delta:+.1%}",
-                        des_point.p99,
-                        fast_point.p99,
-                        f"{p99_delta:+.1%}",
-                    ]
-                )
-    worst = max(
-        max(abs(entry["p50_delta"]), abs(entry["p99_delta"]))
-        for entry in deltas.values()
-    )
-    data["des_check"] = {
-        "loads": [loads[index] for index in overlap],
-        "deltas": deltas,
-        "worst_abs_delta": worst,
-    }
-    tables.append(
-        format_table(
-            [
-                "policy/profile@load",
-                "des p50 (ns)",
-                "fast p50 (ns)",
-                "p50 delta",
-                "des p99 (ns)",
-                "fast p99 (ns)",
-                "p99 delta",
-            ],
-            rows,
-            title=(
-                "Ground-truth cross-check on the sub-critical overlap "
-                "grid (common random numbers)"
-            ),
-        )
-    )
-    findings.append(
-        f"fast-vs-des p50/p99 agreement on the overlap grid is within "
-        f"{worst:.1%}"
     )

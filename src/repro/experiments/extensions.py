@@ -203,12 +203,8 @@ def run_dynamic_slots(
         ],
     )
     for (policy, pool_size), (system, *_), result in zip(
-        variants, tasks, outcome.results
+        variants, tasks, outcome.require("slot-provisioning probe")
     ):
-        if result is None:
-            raise RuntimeError(
-                f"slot-provisioning probe failed: {outcome.findings()}"
-            )
         config = system.config
         if policy == "static":
             domain = MessagingDomain(
@@ -335,11 +331,7 @@ def run_cluster(
     )
     rows: List[List[object]] = []
     data: Dict[str, Dict[str, float]] = {}
-    for name, row in zip(names, outcome.results):
-        if row is None:
-            raise RuntimeError(
-                f"cluster scheme {name!r} failed: {outcome.findings()}"
-            )
+    for name, row in zip(names, outcome.require("ext-cluster")):
         data[name] = row
         rows.append(
             [name, row["total_tput_mrps"], row["p99_ns"], row["imbalance"]]
@@ -407,9 +399,7 @@ def run_rss_spray(
             keys.append(f"{name}/skew={skew:g}")
             tasks.append((system, 18.0, prof.arch_requests, 0.1, seed))
     outcome = map_points(run_point_task, tasks, workers=workers, labels=keys)
-    for key, result in zip(keys, outcome.results):
-        if result is None:
-            raise RuntimeError(f"RSS-spray probe failed: {outcome.findings()}")
+    for key, result in zip(keys, outcome.require("RSS-spray probe")):
         data[key] = {
             "p99_ns": result.p99,
             "tput_mrps": result.point.achieved_throughput,

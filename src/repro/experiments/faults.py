@@ -174,11 +174,7 @@ def run_faults(
         progress_label="ext-faults",
     )
     by_key: Dict[str, Dict[str, object]] = {}
-    for task, row in zip(tasks, outcome.results):
-        if row is None:
-            raise RuntimeError(
-                f"fault scenario {task[0]!r} failed: {outcome.findings()}"
-            )
+    for task, row in zip(tasks, outcome.require("ext-faults")):
         by_key[task[0]] = row
 
     tables: List[str] = []

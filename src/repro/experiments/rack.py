@@ -190,11 +190,7 @@ def run_rack(
         progress_label="ext-rack",
     )
     by_key: Dict[str, Dict[str, object]] = {}
-    for task, row in zip(tasks, outcome.results):
-        if row is None:
-            raise RuntimeError(
-                f"rack scenario {task[0]!r} failed: {outcome.findings()}"
-            )
+    for task, row in zip(tasks, outcome.require("ext-rack")):
         by_key[task[0]] = row
 
     tables: List[str] = []

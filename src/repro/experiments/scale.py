@@ -12,7 +12,7 @@ latency figures so the cost/fidelity trade is visible in the output.
 Two built-in checks keep the tiers honest:
 
 * **tier agreement** — at the largest node count below the fluid
-  threshold, every policy runs on *both* tiers and the p99/mean deltas
+  threshold, every policy runs on *both* tiers and the p50/p99 deltas
   are tabulated (the fluid error shrinks as 1/K, so this is its worst
   overlapping point);
 * **DES cross-check** (quick/full profiles only) — the smallest rack
@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..metrics import format_table
 from ..runner import map_points, task_seed
-from .common import ExperimentResult, get_profile
+from .common import ExperimentResult, get_profile, tier_check
 
 __all__ = ["run_scale", "NODE_GRIDS", "DES_MAX_NODES"]
 
@@ -160,6 +160,7 @@ def _run_scale_task(task) -> Dict[str, object]:
         "policy": policy,
         "tier": tier,
         "requests_per_node": requests,
+        "p50_ns": float(result.aggregate.p50),
         "p99_ns": float(result.p99_ns),
         "mean_ns": float(result.aggregate.mean),
         "tput_mrps": float(result.total_throughput_mrps),
@@ -269,11 +270,9 @@ def run_scale(
         progress_label="ext-scale",
     )
     by_key: Dict[str, Dict[str, object]] = {}
-    for task, row, wall_s in zip(tasks, outcome.results, outcome.task_wall_s):
-        if row is None:
-            raise RuntimeError(
-                f"scale point {task[0]!r} failed: {outcome.findings()}"
-            )
+    for task, row, wall_s in zip(
+        tasks, outcome.require("ext-scale"), outcome.task_wall_s
+    ):
         row["wall_s"] = float(wall_s) if wall_s is not None else float("nan")
         by_key[task[0]] = row
 
@@ -341,74 +340,41 @@ def run_scale(
 
     # 2. Tier agreement at the overlap rack size.
     if engine == "auto" and overlap_nodes is not None:
-        overlap_rows = []
-        data["overlap"] = {}
-        for policy in SCALE_POLICIES:
-            fast_row = by_key[f"{overlap_nodes}/{policy}/fast"]
-            fluid_row = by_key[f"{overlap_nodes}/{policy}/fluid"]
-            p99_delta = fluid_row["p99_ns"] / fast_row["p99_ns"] - 1.0
-            mean_delta = fluid_row["mean_ns"] / fast_row["mean_ns"] - 1.0
-            data["overlap"][policy] = {
-                "nodes": overlap_nodes,
-                "p99_delta": p99_delta,
-                "mean_delta": mean_delta,
-            }
-            overlap_rows.append(
-                [policy, fast_row["p99_ns"], fluid_row["p99_ns"],
-                 f"{p99_delta:+.1%}", f"{mean_delta:+.1%}"]
-            )
-        tables.append(
-            format_table(
-                ["policy", "fast p99 (ns)", "fluid p99 (ns)", "p99 delta",
-                 "mean delta"],
-                overlap_rows,
-                title=(
-                    f"Tier agreement at {overlap_nodes} nodes (fluid's "
-                    "worst overlapping size; error shrinks as 1/K)"
-                ),
-            )
+        table, overlap, finding = tier_check(
+            [
+                (f"{overlap_nodes}/{policy}",
+                 by_key[f"{overlap_nodes}/{policy}/fast"],
+                 by_key[f"{overlap_nodes}/{policy}/fluid"])
+                for policy in SCALE_POLICIES
+            ],
+            "fast",
+            "fluid",
+            f"Tier agreement at {overlap_nodes} nodes (fluid's worst "
+            "overlapping size; error shrinks as 1/K)",
         )
-        worst = max(
-            abs(entry["p99_delta"]) for entry in data["overlap"].values()
-        )
-        findings.append(
-            f"fluid-vs-fast p99 agreement at {overlap_nodes} nodes is within "
-            f"{worst:.1%} across policies"
-        )
+        overlap["nodes"] = overlap_nodes
+        data["overlap"] = overlap
+        tables.append(table)
+        findings.append(finding)
 
     # 3. DES cross-check on the smallest rack (quick/full).
     if des_nodes is not None:
-        des_rows = []
-        data["des_check"] = {}
         small_tier = resolve_engine(engine, des_nodes)
-        for policy in SCALE_POLICIES:
-            des_row = by_key[f"{des_nodes}/{policy}/des"]
-            fast_row = by_key[f"{des_nodes}/{policy}/{small_tier}"]
-            p99_delta = fast_row["p99_ns"] / des_row["p99_ns"] - 1.0
-            data["des_check"][policy] = {
-                "nodes": des_nodes,
-                "p99_delta": p99_delta,
-            }
-            des_rows.append(
-                [policy, des_row["p99_ns"], fast_row["p99_ns"],
-                 f"{p99_delta:+.1%}"]
-            )
-        des_walls = "\n".join(
-            f"  [{des_nodes}/{policy} des took "
-            f"{by_key[f'{des_nodes}/{policy}/des']['wall_s']:.3f}s, "
-            f"{small_tier} took "
-            f"{by_key[f'{des_nodes}/{policy}/{small_tier}']['wall_s']:.3f}s]"
-            for policy in SCALE_POLICIES
+        table, des_check, finding = tier_check(
+            [
+                (f"{des_nodes}/{policy}",
+                 by_key[f"{des_nodes}/{policy}/des"],
+                 by_key[f"{des_nodes}/{policy}/{small_tier}"])
+                for policy in SCALE_POLICIES
+            ],
+            "des",
+            small_tier,
+            f"Ground-truth cross-check at {des_nodes} nodes",
         )
-        tables.append(
-            format_table(
-                ["policy", "des p99 (ns)", "fast p99 (ns)", "p99 delta"],
-                des_rows,
-                title=f"Ground-truth cross-check at {des_nodes} nodes",
-            )
-            + "\n"
-            + des_walls
-        )
+        des_check["nodes"] = des_nodes
+        data["des_check"] = des_check
+        tables.append(table)
+        findings.append(finding)
 
     # 4. Shaped-load ladder: diurnal arrivals across the tier seam.
     shaped_rows = []

@@ -84,10 +84,10 @@ def run_sensitivity(
             tasks.append((system, _PROBE_MRPS, prof.arch_requests, 0.1, seed))
             labels.append(f"{name} x{factor:g}")
 
-    outcome = map_points(run_point_task, tasks, workers=workers, labels=labels)
-    if not outcome.ok:
-        raise RuntimeError(f"sensitivity probe failed: {outcome.findings()}")
-    p99s = [result.p99 for result in outcome.results]
+    results = map_points(
+        run_point_task, tasks, workers=workers, labels=labels
+    ).require("sensitivity probe")
+    p99s = [result.p99 for result in results]
     baseline_p99 = p99s[0]
     entries: List[Dict[str, object]] = []
     for index, item in enumerate(plan):

@@ -144,14 +144,11 @@ def run_tails(
     engine: str = "des",
 ) -> ExperimentResult:
     """Span-traced tail attribution across policies, staleness, hedging."""
-    from ..fastpath import require_des
+    from ..fastpath import resolve_engine
 
-    require_des(
-        "ext-tails",
-        engine,
-        NUM_NODES,
-        "span tracing instruments the discrete-event hot paths",
-    )
+    # Span tracing instruments the discrete-event hot paths: auto
+    # resolves to the DES, an explicit fast/fluid raises.
+    resolve_engine(engine, NUM_NODES, tracing=True)
 
     prof = get_profile(profile)
     requests = max(prof.arch_requests // 4, 800)
@@ -170,11 +167,7 @@ def run_tails(
         progress_label="ext-tails",
     )
     by_key: Dict[str, Dict[str, object]] = {}
-    for task, row in zip(tasks, outcome.results):
-        if row is None:
-            raise RuntimeError(
-                f"tails scenario {task[0]!r} failed: {outcome.findings()}"
-            )
+    for task, row in zip(tasks, outcome.require("ext-tails")):
         by_key[task[0]] = row
 
     tables: List[str] = []

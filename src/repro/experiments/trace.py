@@ -75,11 +75,7 @@ def produce_trace(
         labels=[f"trace {scheme}/{workload} (seed {seed})"],
         progress=False,
     )
-    result = outcome.results[0]
-    if result is None:
-        raise RuntimeError(
-            f"trace run failed: {'; '.join(outcome.findings())}"
-        )
+    result = outcome.require("trace run")[0]
 
     trace_path = directory / "rpcvalet.trace.json"
     events = export_unified_trace(

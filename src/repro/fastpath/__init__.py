@@ -42,7 +42,6 @@ from .select import (
     ENGINES,
     arrival_capability,
     engine_supports,
-    require_des,
     required_capabilities,
     resolve_engine,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "fluid_transient_measure",
     "required_capabilities",
     "resolve_engine",
-    "require_des",
     "simulate_cluster_fluid",
     "simulate_rack_fast",
 ]

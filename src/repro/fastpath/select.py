@@ -37,7 +37,6 @@ __all__ = [
     "required_capabilities",
     "engine_supports",
     "resolve_engine",
-    "require_des",
 ]
 
 ENGINES = ("des", "fast", "fluid", "auto")
@@ -209,21 +208,3 @@ def resolve_engine(
         )
     return engine
 
-
-def require_des(experiment: str, engine: str, num_nodes: int, reason: str) -> str:
-    """Resolve the engine knob for a DES-only experiment.
-
-    Some experiments instrument or depend on the discrete-event hot
-    paths themselves (span tracing), so the surrogate tiers cannot run
-    them. This gate resolves the knob exactly like
-    :func:`resolve_engine` — so ``REPRO_ENGINE`` behaves consistently —
-    and raises a uniform, actionable error for any non-DES tier.
-    """
-    resolved = resolve_engine(engine, num_nodes)
-    if resolved != "des":
-        raise ValueError(
-            f"{experiment} requires engine='des' — {reason}, which the "
-            f"{resolved!r} tier does not execute (pass --engine des, or "
-            "unset REPRO_ENGINE)"
-        )
-    return resolved

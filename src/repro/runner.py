@@ -68,8 +68,9 @@ Graceful degradation
 A task that raises inside a worker is retried once serially; if the
 retry also fails, the task's slot is ``None`` and the failure is
 reported through :meth:`MapOutcome.findings` (figure drivers surface
-these in ``ExperimentResult.findings``) instead of killing the sweep.
-Failure records identify the exact task (index plus the caller's label
+these in ``ExperimentResult.findings``) instead of killing the sweep;
+drivers that need every point call :meth:`MapOutcome.require`, which
+raises one error naming each failed task. Failure records identify the exact task (index plus the caller's label
 — figure sweeps label tasks ``scheme[load_index]@load (seed N)``) and
 the exception from each attempt.
 """
@@ -227,6 +228,22 @@ class MapOutcome:
     def findings(self) -> List[str]:
         """Human-readable failure lines for ``ExperimentResult.findings``."""
         return [failure.describe() for failure in self.failures]
+
+    def require(self, what: str) -> List[Any]:
+        """The results, or one ``RuntimeError`` naming every failed task.
+
+        For callers that cannot use a partial sweep: ``what`` names the
+        run in the error, and each task that produced no result is
+        listed by its label.
+        """
+        if not self.ok:
+            raise RuntimeError(
+                f"{what} failed: "
+                + "; ".join(
+                    failure.describe() for failure in self.failures if failure.fatal
+                )
+            )
+        return self.results
 
 
 class ProgressReporter:

@@ -468,8 +468,8 @@ class TestRegistrationDrift:
 
     def test_engine_aware_drivers_resolve_capabilities(self):
         # Every engine-aware driver must route its knob through the
-        # capability-aware resolver (or the DES-only gate) — ad-hoc
-        # engine handling is how tiers silently drop features.
+        # capability-aware resolver — ad-hoc engine handling is how
+        # tiers silently drop features.
         import inspect
         import sys
 
@@ -478,7 +478,6 @@ class TestRegistrationDrift:
         for name in ENGINE_AWARE:
             module = sys.modules[EXPERIMENTS[name].__module__]
             source = inspect.getsource(module)
-            assert "resolve_engine" in source or "require_des" in source, (
-                f"{name}: engine-aware driver never calls resolve_engine/"
-                "require_des"
+            assert "resolve_engine" in source, (
+                f"{name}: engine-aware driver never calls resolve_engine"
             )

@@ -16,7 +16,7 @@ from repro.experiments import (
     run_outstanding_ablation,
     unit_mean_service,
 )
-from repro.experiments.common import get_profile
+from repro.experiments.common import get_profile, tier_check
 
 
 class TestCommon:
@@ -48,6 +48,51 @@ class TestCommon:
             "fig8", "fig9", "headline",
         }
         assert expected <= set(EXPERIMENTS)
+
+
+class TestTierCheck:
+    def test_delta_signs_are_candidate_over_reference(self):
+        table, data, finding = tier_check(
+            [("a", {"p50_ns": 100.0, "p99_ns": 200.0},
+              {"p50_ns": 110.0, "p99_ns": 190.0})],
+            "des", "fast", "title",
+        )
+        deltas = data["deltas"]["a"]
+        assert deltas["p50_delta"] == pytest.approx(0.10)
+        assert deltas["p99_delta"] == pytest.approx(-0.05)
+        assert "+10.0%" in table and "-5.0%" in table
+        assert table.startswith("title\n")
+        assert "des p50 (ns)" in table and "fast p99 (ns)" in table
+        assert finding.startswith("fast-vs-des p50/p99 agreement is within 10.0%")
+
+    def test_worst_spans_both_percentiles_and_all_pairs(self):
+        _, data, finding = tier_check(
+            [("p99-heavy", {"p50_ns": 100.0, "p99_ns": 100.0},
+              {"p50_ns": 101.0, "p99_ns": 92.0}),
+             ("p50-heavy", {"p50_ns": 100.0, "p99_ns": 100.0},
+              {"p50_ns": 88.0, "p99_ns": 103.0})],
+            "fast", "fluid", "t",
+        )
+        assert data["worst_abs_delta"] == pytest.approx(0.12)
+        assert set(data) == {"deltas", "worst_abs_delta"}
+        assert "(worst: p50-heavy)" in finding
+
+    def test_wall_lines_only_when_both_rows_carry_wall_s(self):
+        ref = {"p50_ns": 1.0, "p99_ns": 2.0}
+        table, _, _ = tier_check(
+            [("timed", dict(ref, wall_s=0.5), dict(ref, wall_s=0.25)),
+             ("half", dict(ref, wall_s=0.5), dict(ref)),
+             ("untimed", ref, ref)],
+            "des", "fast", "t",
+        )
+        walls = [line for line in table.splitlines() if " took " in line]
+        assert walls == ["  [timed des took 0.500s, fast took 0.250s]"]
+        table, _, _ = tier_check([("x", ref, ref)], "des", "fast", "t")
+        assert " took " not in table
+
+    def test_empty_pairs_raise(self):
+        with pytest.raises(ValueError, match="at least one"):
+            tier_check([], "des", "fast", "t")
 
 
 class TestFig2:

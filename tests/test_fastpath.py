@@ -529,8 +529,10 @@ class TestScaleDriver:
         result = run_scale("smoke", seed=0)
         assert result.data["largest_nodes"] == 1024
         assert result.data["advantage_at_largest"] > 1.0
-        for entry in result.data["overlap"].values():
-            assert abs(entry["p99_delta"]) < 0.15
+        overlap = result.data["overlap"]
+        assert overlap["nodes"] == 64
+        assert set(overlap["deltas"]) == {"64/random", "64/jsq2"}
+        assert overlap["worst_abs_delta"] < 0.15
         # Every grid size reports a wall clock.
         for row in result.data["points"].values():
             assert row["wall_s"] >= 0.0

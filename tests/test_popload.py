@@ -373,6 +373,46 @@ class TestDiurnalExperiment:
         with pytest.raises(ValueError, match="does not support"):
             run_diurnal(profile="smoke", engine="fluid")
 
+    def test_des_check_rides_in_the_one_batch(self, monkeypatch):
+        # quick/full surrogate runs rerun the sub-critical overlap
+        # points on the DES; a tiny non-smoke profile drives that path.
+        from repro.experiments import diurnal
+        from repro.experiments.common import Profile
+
+        calls = []
+        real_map_points = diurnal.map_points
+
+        def counting_map_points(fn, tasks, **kwargs):
+            calls.append([task[0] for task in tasks])
+            return real_map_points(fn, tasks, **kwargs)
+
+        tiny = Profile("tiny", queueing_requests=1_000, arch_requests=300,
+                       sweep_points=4)
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        monkeypatch.setattr(diurnal, "get_profile", lambda name: tiny)
+        monkeypatch.setattr(diurnal, "map_points", counting_map_points)
+        result = diurnal.run_diurnal(profile="tiny", seed=0)
+
+        (tiers,) = calls  # one batch: the sweep plus its DES reruns
+        sweep = len(diurnal.SCHEMES) * len(diurnal.PROFILE_KINDS) * 4
+        assert tiers[:sweep] == ["fast"] * sweep
+        check = result.data["des_check"]
+        loads = result.data["loads"]
+        # 4 points: 0.2/0.88/0.94/1.0 of capacity; only 0.88 is at or
+        # below the 0.9 overlap ceiling.
+        assert check["loads"] == [loads[1]]
+        assert tiers[sweep:] == ["des"] * len(check["deltas"])
+        assert len(check["deltas"]) == len(diurnal.SCHEMES) * len(
+            diurnal.PROFILE_KINDS
+        )
+        assert "1x16/constant@" + f"{loads[1]:.2f}" in check["deltas"]
+        assert check["worst_abs_delta"] == max(
+            max(abs(entry["p50_delta"]), abs(entry["p99_delta"]))
+            for entry in check["deltas"].values()
+        )
+        assert "Ground-truth cross-check" in result.tables[-1]
+        assert result.findings[-1].startswith("fast-vs-des p50/p99 agreement")
+
     def test_smoke_run_structure_and_worker_determinism(self):
         from repro.experiments.diurnal import PROFILE_KINDS, run_diurnal
 

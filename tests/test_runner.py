@@ -195,6 +195,28 @@ def test_map_outcome_findings_describe_failures():
     ]
 
 
+def test_map_outcome_require_names_every_failed_task():
+    outcome = map_points(
+        _fail_on_negative, [1, -1, 3, -2], workers=1, labels=["a", "b", "c", "d"]
+    )
+    with pytest.raises(RuntimeError, match=r"^sweep x failed: ") as error:
+        outcome.require("sweep x")
+    message = str(error.value)
+    assert "(b)" in message and "(d)" in message
+    assert "(a)" not in message and "(c)" not in message
+    assert map_points(_fail_on_negative, [1, 3]).require("sweep x") == [2, 6]
+
+
+def test_map_outcome_require_tolerates_recovered_failures():
+    outcome = MapOutcome(
+        results=[7],
+        failures=[
+            TaskFailure(label="p", error="Boom", retried=True, fatal=False)
+        ],
+    )
+    assert outcome.require("sweep") == [7]
+
+
 # -- failure identity (which task failed, exactly) ----------------------------
 
 def test_sweep_failure_names_scheme_load_index_and_seed(monkeypatch):

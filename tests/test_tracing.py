@@ -261,6 +261,23 @@ class TestExportAndGating:
         with pytest.raises(ValueError, match="des"):
             run_tails(profile="smoke")
 
+    def test_tails_auto_engine_resolves_to_des(self, monkeypatch):
+        # auto must land on the one tier with the tracing capability
+        # and reach the (DES-only) scenario batch instead of raising.
+        from repro.experiments import tails
+
+        class Reached(Exception):
+            pass
+
+        def reached(fn, tasks, **kwargs):
+            assert fn is tails._run_tails_task and tasks
+            raise Reached
+
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        monkeypatch.setattr(tails, "map_points", reached)
+        with pytest.raises(Reached):
+            tails.run_tails(profile="smoke", engine="auto")
+
     def test_scenario_keys_are_unique(self):
         keys = [row[0] for row in _scenarios()]
         assert len(keys) == len(set(keys))
