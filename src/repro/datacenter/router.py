@@ -52,6 +52,8 @@ class DatacenterRouter(RackRouter):
             policy=self.scheduler.label, signal="fresh", skew=skew
         )
         self.rack_outstanding = [0] * topology.num_racks
+        #: Each node's rack, read on every decision and completion.
+        self._rack_of = [topology.rack_of(node) for node in range(topology.num_nodes)]
 
     def bind(self, cluster) -> None:
         if cluster.num_nodes != self.topology.num_nodes:
@@ -86,7 +88,7 @@ class DatacenterRouter(RackRouter):
         # mean_signal_error stays well-defined for load-aware sweeps).
         self.stats.signal_error_count += 1
         self.outstanding[dst] += 1
-        self.rack_outstanding[self.topology.rack_of(dst)] += 1
+        self.rack_outstanding[self._rack_of[dst]] += 1
         self.stats.routed[dst] += 1
         self.stats.decisions += 1
         if self.decision_counters is not None:
@@ -94,9 +96,9 @@ class DatacenterRouter(RackRouter):
         return dst
 
     def on_complete(self, server: int) -> float:
-        self.rack_outstanding[self.topology.rack_of(server)] -= 1
+        self.rack_outstanding[self._rack_of[server]] -= 1
         return super().on_complete(server)
 
     def on_attempt_abandoned(self, server: int) -> None:
-        self.rack_outstanding[self.topology.rack_of(server)] -= 1
+        self.rack_outstanding[self._rack_of[server]] -= 1
         super().on_attempt_abandoned(server)

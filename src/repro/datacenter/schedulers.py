@@ -22,12 +22,12 @@ Three hierarchy models from the related work, plus the flat baseline:
 
 One scheduler object serves both engines: the DES
 :class:`~repro.datacenter.router.DatacenterRouter` and the fast tier's
-sequential loop call the same :meth:`DatacenterScheduler.choose` on
-their live per-node / per-rack outstanding state, so routing semantics
-cannot drift between tiers. ``rng`` is duck-typed on ``random()`` and
-``integers(low, high)``: the DES passes its ``np.random.Generator``,
-the fast tier a :class:`~repro.fastpath.loop.RoutingStream` that draws
-the same values.
+sequential loop call the same routing kernel,
+``DatacenterScheduler.choose``, on their live per-node / per-rack
+outstanding state, so routing semantics cannot drift between tiers.
+``rng`` is duck-typed on ``random()`` and ``integers(low, high)``: the
+DES passes its ``np.random.Generator``, the fast tier a
+:class:`~repro.fastpath.loop.RoutingStream` that draws the same values.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import math
 import numbers
 import re
 from bisect import bisect_right
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -64,6 +64,9 @@ DEFAULT_JBSQ_K = 20
 
 _JSQ_PATTERN = re.compile(r"^jsq(\d+)$")
 
+#: ``choose(client, believe, rack_believe, rng) -> dst``.
+_Kernel = Callable[[int, Sequence[float], Sequence[float], object], int]
+
 
 def _parse_policy(policy: str) -> tuple:
     """``("random", 0) | ("jsq", d) | ("sed", d)`` from the spec string."""
@@ -82,17 +85,43 @@ def _parse_policy(policy: str) -> tuple:
     )
 
 
-class DatacenterScheduler:
-    """Base: Zipf rack popularity + shared tie-break/selection helpers.
+def _argmin(scores: List[float], rng) -> int:
+    """Index of the lowest score, ties broken uniformly in list order.
 
-    ``believe`` is the per-node outstanding view and ``rack_believe``
-    the per-rack aggregate (dispatched + ToR-held); both engines own
-    the ground truth and keep the aggregates in sync incrementally, so
-    a decision never pays an O(num_nodes) scan.
+    A unique minimum costs no draw; otherwise one
+    ``rng.integers(0, ties)`` picks the tied entry to return, counting
+    from the first.
+    """
+    best = min(scores)
+    index = scores.index(best)
+    ties = scores.count(best)
+    if ties > 1:
+        for _ in range(rng.integers(0, ties)):
+            index = scores.index(best, index + 1)
+    return index
+
+
+class DatacenterScheduler:
+    """Base: Zipf rack popularity and the per-RPC routing kernel.
+
+    ``choose(client, believe, rack_believe, rng) -> dst`` is one
+    closure per hierarchy and spine mode with its constants bound as
+    locals, since it runs once per routed RPC; :meth:`set_capacities`
+    rebuilds it (SED reads the capacities). ``believe`` is the per-node
+    outstanding view and ``rack_believe`` the per-rack aggregate
+    (dispatched + ToR-held); both engines own the ground truth and keep
+    the aggregates in sync incrementally, so a decision never pays an
+    O(num_nodes) scan. Every argmin follows :func:`_argmin`'s tie rule,
+    the rack layer's, so both layers consume the routing stream alike.
+    A numpy ``integers`` draw is only ever an index or goes through
+    ``int()``, so ``choose`` returns a plain ``int`` on both engines.
     """
 
     #: JBSQ bound (None for unbounded hierarchies).
     bound_k: Optional[int] = None
+
+    #: The routing kernel; see the class docstring.
+    choose: _Kernel
 
     def __init__(
         self, topology: DatacenterTopology, policy: str = "jsq2",
@@ -109,10 +138,12 @@ class DatacenterScheduler:
         )
         cumulative = np.cumsum(weights / weights.sum())
         cumulative[-1] = 1.0
-        #: Plain-float cumulative rack popularity, ``bisect``-friendly.
+        #: Plain-float cumulative rack popularity, ``bisect``-friendly;
+        #: ``random() < 1.0 == rack_cumulative[-1]``, so a draw is in range.
         self.rack_cumulative: List[float] = [float(v) for v in cumulative]
         self.capacities: Optional[List[float]] = None
         self.rack_capacities: Optional[List[float]] = None
+        self.choose = self._kernel()
 
     @property
     def label(self) -> str:
@@ -131,42 +162,10 @@ class DatacenterScheduler:
             sum(self.capacities[node] for node in topo.members(rack))
             for rack in range(topo.num_racks)
         ]
+        self.choose = self._kernel()
 
-    def _sample_rack(self, rng) -> int:
-        # random() < 1.0 == rack_cumulative[-1], so the index is in range.
-        return bisect_right(self.rack_cumulative, rng.random())
-
-    def _sample_distinct_racks(self, count: int, rng) -> List[int]:
-        count = min(count, self.topology.num_racks)
-        chosen: List[int] = []
-        while len(chosen) < count:
-            rack = self._sample_rack(rng)
-            if rack not in chosen:
-                chosen.append(rack)
-        return chosen
-
-    @staticmethod
-    def _pick_min(candidates: Sequence[int], scores: List[float], rng) -> int:
-        """The candidate with the lowest score, ties broken uniformly.
-
-        ``scores[i]`` scores ``candidates[i]``. A unique minimum costs no
-        draw; otherwise one ``rng.integers(0, len(tied))`` picks among
-        the tied candidates in candidate order — the rack layer's rule,
-        so both layers consume the routing stream alike.
-        """
-        best = min(scores)
-        if scores.count(best) == 1:
-            return candidates[scores.index(best)]
-        tied = [candidate for candidate, score in zip(candidates, scores) if score == best]
-        return tied[rng.integers(0, len(tied))]
-
-    def choose(
-        self,
-        client: int,
-        believe: List[float],
-        rack_believe: List[float],
-        rng,
-    ) -> int:
+    def _kernel(self) -> _Kernel:
+        """This hierarchy's ``choose`` for its spine mode, constants bound."""
         raise NotImplementedError
 
 
@@ -175,30 +174,64 @@ class FlatScheduler(DatacenterScheduler):
 
     hierarchy = "flat"
 
-    def _sample_node(self, client: int, rng) -> int:
-        """One candidate: popularity-weighted rack, uniform member != client."""
+    def _kernel(self):
+        # A candidate is a popularity-weighted rack and a uniform member
+        # other than the client: one random() and one integers() draw.
+        cumulative = self.rack_cumulative
         size = self.topology.rack_size
-        first = self._sample_rack(rng) * size
-        if first <= client < first + size:
-            node = first + int(rng.integers(0, size - 1))
-            return node if node < client else node + 1
-        return first + int(rng.integers(0, size))
+        peers = size - 1
 
-    def choose(self, client, believe, rack_believe, rng) -> int:
+        def sample(client, rng):
+            first = bisect_right(cumulative, rng.random()) * size
+            if first <= client < first + size:
+                node = first + int(rng.integers(0, peers))
+                return node if node < client else node + 1
+            return first + int(rng.integers(0, size))
+
         if self.mode == "random":
-            return self._sample_node(client, rng)
-        candidates: List[int] = []
+            def choose(client, believe, rack_believe, rng):
+                return sample(client, rng)
+
+            return choose
+
         want = min(self.d, self.topology.num_nodes - 1)
-        while len(candidates) < want:
-            node = self._sample_node(client, rng)
-            if node not in candidates:
-                candidates.append(node)
-        if self.mode == "sed":
-            capacities = self.capacities
-            scores = [(believe[node] + 1.0) / capacities[node] for node in candidates]
-        else:
-            scores = [believe[node] for node in candidates]
-        return self._pick_min(candidates, scores, rng)
+        sed = self.mode == "sed"
+        capacities = self.capacities
+
+        if want == 2:
+            # ``_argmin``'s rule on two distinct candidates without
+            # building lists: JSQ(2) is the common policy per RPC.
+            def choose(client, believe, rack_believe, rng):
+                node = sample(client, rng)
+                other = sample(client, rng)
+                while other == node:
+                    other = sample(client, rng)
+                if sed:
+                    load = (believe[node] + 1.0) / capacities[node]
+                    other_load = (believe[other] + 1.0) / capacities[other]
+                else:
+                    load, other_load = believe[node], believe[other]
+                if other_load < load:
+                    return other
+                if other_load == load:
+                    return (node, other)[rng.integers(0, 2)]
+                return node
+
+            return choose
+
+        def choose(client, believe, rack_believe, rng):
+            candidates: List[int] = []
+            scores: List[float] = []
+            while len(candidates) < want:
+                node = sample(client, rng)
+                if node not in candidates:
+                    candidates.append(node)
+                    scores.append(
+                        (believe[node] + 1.0) / capacities[node] if sed else believe[node]
+                    )
+            return candidates[_argmin(scores, rng)]
+
+        return choose
 
 
 class TwoLevelScheduler(DatacenterScheduler):
@@ -220,41 +253,74 @@ class TwoLevelScheduler(DatacenterScheduler):
         ):
             raise ValueError(f"JBSQ bound must be an integer >= 1, got {bound_k!r}")
         self.bound_k = None if bound_k is None else int(bound_k)
-        #: Each node's rack peers (itself excluded), the ToR candidates
-        #: when a client routes into its own rack.
-        self._rack_peers = [
-            [node for node in topology.members(topology.rack_of(client)) if node != client]
-            for client in range(topology.num_nodes)
-        ]
 
-    def choose_rack(self, client, rack_believe, rng) -> int:
+    def _kernel(self):
+        topo = self.topology
+        cumulative = self.rack_cumulative
+        size = topo.rack_size
+
+        def member(rack, client, believe, rng):
+            # ToR-local JSQ over the rack's members, the client excluded.
+            # Racks are contiguous id ranges, so the scores are one slice.
+            first = rack * size
+            scores = believe[first:first + size]
+            if first <= client < first + size:
+                del scores[client - first]
+                node = first + _argmin(scores, rng)
+                return node if node < client else node + 1
+            return first + _argmin(scores, rng)
+
         if self.mode == "random":
-            return self._sample_rack(rng)
-        if self.mode == "jsq":
-            candidates = self._sample_distinct_racks(self.d, rng)
-            return self._pick_min(candidates, [rack_believe[rack] for rack in candidates], rng)
-        # SED over *all* racks: the spine sees every ToR's aggregate, so
-        # unlike a flat client it can afford the full capacity-aware scan.
-        scores = [
-            (load + 1.0) / capacity
-            for load, capacity in zip(rack_believe, self.rack_capacities)
-        ]
-        return self._pick_min(range(self.topology.num_racks), scores, rng)
+            def choose(client, believe, rack_believe, rng):
+                return member(bisect_right(cumulative, rng.random()), client, believe, rng)
 
-    def choose_member(self, rack, client, believe, rng) -> int:
-        """ToR-local JSQ over the rack's members (client excluded)."""
-        size = self.topology.rack_size
-        first = rack * size
-        # Racks are contiguous id ranges, so the rack's scores are one slice.
-        scores = believe[first:first + size]
-        if first <= client < first + size:
-            del scores[client - first]
-            return self._pick_min(self._rack_peers[client], scores, rng)
-        return self._pick_min(range(first, first + size), scores, rng)
+            return choose
 
-    def choose(self, client, believe, rack_believe, rng) -> int:
-        rack = self.choose_rack(client, rack_believe, rng)
-        return self.choose_member(rack, client, believe, rng)
+        if self.mode == "sed":
+            # SED over *all* racks: the spine sees every ToR's aggregate,
+            # so unlike a flat client it can afford the full
+            # capacity-aware scan.
+            rack_capacities = self.rack_capacities
+
+            def choose(client, believe, rack_believe, rng):
+                scores = [
+                    (load + 1.0) / capacity
+                    for load, capacity in zip(rack_believe, rack_capacities)
+                ]
+                return member(_argmin(scores, rng), client, believe, rng)
+
+            return choose
+
+        count = min(self.d, topo.num_racks)
+        if count == 2:
+            # ``_argmin``'s rule on two distinct racks, as flat's pair.
+            def choose(client, believe, rack_believe, rng):
+                random = rng.random
+                rack = bisect_right(cumulative, random())
+                other = bisect_right(cumulative, random())
+                while other == rack:
+                    other = bisect_right(cumulative, random())
+                load, other_load = rack_believe[rack], rack_believe[other]
+                if other_load < load:
+                    rack = other
+                elif other_load == load:
+                    rack = (rack, other)[rng.integers(0, 2)]
+                return member(rack, client, believe, rng)
+
+            return choose
+
+        def choose(client, believe, rack_believe, rng):
+            random = rng.random
+            racks: List[int] = []
+            scores: List[float] = []
+            while len(racks) < count:
+                rack = bisect_right(cumulative, random())
+                if rack not in racks:
+                    racks.append(rack)
+                    scores.append(rack_believe[rack])
+            return member(racks[_argmin(scores, rng)], client, believe, rng)
+
+        return choose
 
 
 def make_scheduler(

@@ -344,7 +344,9 @@ def run_loop(
     every RPC occupies its server for ``processing / speed +
     occupancy[n]`` and pays ``shift[n]`` of pipelined latency on its
     sojourn. Departures drain through one ``heapq`` keyed ``(time,
-    seq)``, so simultaneous departures leave in submission order.
+    seq)``, so simultaneous departures leave in submission order. Each
+    arrival first releases every departure due by its time (the drain
+    is inline: it runs once per arrival), then routes.
 
     With a fault ``timeline``, each request rolls its fabric fate after
     routing (drop / delay spike / counted dup), requests routed to a
@@ -401,13 +403,6 @@ def run_loop(
         sojourns[index] = depart - entered_at + shift[dst]
         heappush(heap, (depart, next(seq), dst, clients[index]))
 
-    def drain(upto: float) -> None:
-        while heap and heap[0][0] <= upto:
-            when, _seq, dst, client = heappop(heap)
-            queued = release(when, dst, client)
-            if queued is not None:
-                submit(queued[0], when, dst, queued[1])
-
     recoveries = (timeline.recoveries if timeline is not None else []) + [(math.inf, -1)]
     cursor = 0
     for index, now in enumerate(array("d", times.tobytes())):
@@ -421,7 +416,11 @@ def run_loop(
             for lane, free in enumerate(free_times):
                 if free < rec_time:
                     free_times[lane] = rec_time
-        drain(now)
+        while heap and heap[0][0] <= now:
+            when, _seq, dst, client = heappop(heap)
+            queued = release(when, dst, client)
+            if queued is not None:
+                submit(queued[0], when, dst, queued[1])
         client = clients[index]
         dst = route(index, client, now)
 
@@ -441,7 +440,11 @@ def run_loop(
                 continue
         if admit(index, client, dst, entered_at):
             submit(index, entered_at, dst, entered_at)
-    drain(math.inf)
+    while heap:
+        when, _seq, dst, client = heappop(heap)
+        queued = release(when, dst, client)
+        if queued is not None:
+            submit(queued[0], when, dst, queued[1])
     return (
         np.frombuffer(dsts, dtype=np.int64),
         np.frombuffer(sojourns),
@@ -471,11 +474,13 @@ def build_result(
         kept_ok = ~dropped[skip:]
         kept_sojourns = kept_sojourns[kept_ok]
         kept_dsts = kept_dsts[kept_ok]
+    # One stable grouping by node keeps each node's sojourns in arrival
+    # order, so every per-node mean sums in the order a mask gives.
+    order = np.argsort(kept_dsts, kind="stable")
+    bounds = np.cumsum(np.bincount(kept_dsts, minlength=num_nodes))[:-1]
     per_node = [
-        LatencySummary.from_values(kept_sojourns[kept_dsts == node])
-        if np.any(kept_dsts == node)
-        else LatencySummary.empty()
-        for node in range(num_nodes)
+        LatencySummary.from_values(values)
+        for values in np.split(kept_sojourns[order], bounds)
     ]
 
     elapsed_ns = float(departures.max())

@@ -131,6 +131,14 @@ def _golden_cases():
                 cases[f"dc/{hierarchy}/{policy}/skew{skew}"] = _dc(
                     hierarchy=hierarchy, policy=policy, skew=skew, jbsq_k=4
                 )
+    # JSQ(1) and JSQ(3) run the general JSQ(d) loop rather than the
+    # two-candidate JSQ(2) kernels; recorded on the method-chain
+    # scheduler the kernels replaced.
+    for hierarchy in ("flat", "racksched"):
+        for policy in ("jsq1", "jsq3"):
+            cases[f"dc/{hierarchy}/{policy}/skew1.2"] = _dc(
+                hierarchy=hierarchy, policy=policy, skew=1.2, jbsq_k=4
+            )
     cases["dc/racksched/jsq2/faults"] = _dc(
         hierarchy="racksched", policy="jsq2", skew=0.6, faults=FAULTS
     )
@@ -167,6 +175,8 @@ GOLDEN_CASES = _golden_cases()
 GOLDEN = {
     "dc/flat/jsq2/skew0.0": (576.797199297329, 1206.1234784455191, 0, 0.0, 0, "f4c85aab621e91f541ee"),
     "dc/flat/jsq2/skew1.2": (574.0396922701595, 1195.9814042808898, 0, 0.0, 0, "838990c90d3316295445"),
+    "dc/flat/jsq1/skew1.2": (1296.335199717843, 5987.1895214392425, 0, 0.0, 0, "c4e594e2876affbca98a"),
+    "dc/flat/jsq3/skew1.2": (574.0591334314856, 1160.5687585539358, 0, 0.0, 0, "5b9e65085ce427c382e8"),
     "dc/flat/random/skew0.0": (613.8968511861966, 1628.4407738395498, 0, 0.0, 0, "4afe424f2341e841f1dd"),
     "dc/flat/random/skew1.2": (1296.335199717843, 5987.1895214392425, 0, 0.0, 0, "c4e594e2876affbca98a"),
     "dc/flat/sed/skew0.0": (572.197646940326, 1155.0678375339428, 0, 0.0, 0, "84465c35c7465636baff"),
@@ -186,6 +196,8 @@ GOLDEN = {
     "dc/racksched/jsq2/faults": (581.234479803281, 1199.235243095265, 1060, 0.0, 0, "799b0dba614316f7aa29"),
     "dc/racksched/jsq2/skew0.0": (577.1231757294963, 1190.4111688825644, 0, 0.0, 0, "5906e14d876180c24d6f"),
     "dc/racksched/jsq2/skew1.2": (573.1355416196445, 1200.104944603179, 0, 0.0, 0, "ebac2eaf9835d70c1839"),
+    "dc/racksched/jsq1/skew1.2": (1456.4379210793109, 5739.450900953058, 0, 0.0, 0, "4c6a3e6bf56c6b5802e4"),
+    "dc/racksched/jsq3/skew1.2": (575.4912746036025, 1196.1487733471133, 0, 0.0, 0, "156e21dc61475f40c317"),
     "dc/racksched/random/skew0.0": (591.671895797002, 1280.1961099906666, 0, 0.0, 0, "583923eb55b92f0aae30"),
     "dc/racksched/random/skew1.2": (1456.4379210793109, 5739.450900953058, 0, 0.0, 0, "4c6a3e6bf56c6b5802e4"),
     "dc/racksched/sed/skew0.0": (571.3474287278998, 1177.9812675852304, 0, 0.0, 0, "7c551dc694c6e462bc0c"),

@@ -357,6 +357,53 @@ class TestEngineSelection:
             resolve_engine("fast", 4)
 
 
+class TestBuildResult:
+    """``build_result`` groups sojourns per node once; a mask per node
+    is the reference it must match bit for bit."""
+
+    @pytest.mark.parametrize("with_drops", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_per_node_summaries_match_masks(self, seed, with_drops):
+        from repro.fastpath.loop import build_result
+        from repro.metrics import LatencySummary
+        from repro.rack.router import RouterStats
+
+        rng = np.random.default_rng(seed)
+        num_nodes, total, warmup = 12, 900, 0.1
+        # Nodes 3 and 7 never receive a request; with drops, every
+        # request to node 9 is dropped and it keeps none either.
+        routed = [node for node in range(num_nodes) if node not in (3, 7)]
+        dsts = rng.choice(routed, size=total).astype(np.int64)
+        sojourns = rng.gamma(2.0, 300.0, size=total)
+        departures = np.sort(rng.uniform(0.0, 1e5, size=total))
+        dropped = None
+        if with_drops:
+            dropped = (rng.random(total) < 0.1) | (dsts == 9)
+            sojourns[dropped] = np.nan
+        result = build_result(
+            num_nodes, dsts, sojourns, departures, dropped, [0] * num_nodes,
+            total // num_nodes, warmup, None, RouterStats(policy="p", signal="s", skew=0.0),
+        )
+
+        skip = int(total * warmup)
+        keep = np.ones(total - skip, dtype=bool) if dropped is None else ~dropped[skip:]
+        kept_sojourns, kept_dsts = sojourns[skip:][keep], dsts[skip:][keep]
+        expected = [
+            LatencySummary.from_values(kept_sojourns[kept_dsts == node])
+            if np.any(kept_dsts == node)
+            else LatencySummary.empty()
+            for node in range(num_nodes)
+        ]
+        # repr compares floats bit for bit and NaN fields as equal.
+        assert [repr(summary) for summary in result.per_node] == [
+            repr(summary) for summary in expected
+        ]
+        empty = (3, 7, 9) if with_drops else (3, 7)
+        assert [node for node, summary in enumerate(result.per_node) if summary.count == 0] == (
+            list(empty)
+        )
+
+
 class TestFastDeterminism:
     def test_same_seed_bit_identical(self):
         runs = [
