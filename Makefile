@@ -88,7 +88,11 @@ ab:
 	done; \
 	$(PYTHON) benchmarks/suite/compare.py --pairs $$files
 
+# benchmarks/output/ (the committed driver outputs CI diffs against)
+# and src/repro.egg-info/ hold tracked files: remove only what is
+# untracked there.
 clean:
-	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache \
-		benchmarks/output .benchmarks traces
+	rm -rf build dist .pytest_cache .benchmarks traces
+	git clean -fdqx -- benchmarks/output
+	git clean -fdqx -- '*.egg-info/*'
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -39,11 +39,13 @@ to the historical DES-only driver. On the ``quick``/``full`` profiles
 a surrogate run appends a DES cross-check table: the same batch reruns
 the sub-critical overlap points on the DES under common random numbers
 and :func:`~repro.experiments.common.tier_check` tabulates the p50/p99
-deltas (EXPERIMENTS.md documents the 15% band;
+deltas (EXPERIMENTS.md documents the 5% band;
 at/above capacity the surrogate is not gated — critical-regime tails
-are calibration-sensitive on every tier but the DES). All points fan
-out through :func:`repro.runner.map_points` under per-task seeds —
-bit-identical output at any ``--workers`` count.
+are calibration-sensitive on every tier but the DES). Surrogate runs
+record each scheme's calibrated ``(occupancy_ns, shift_ns)`` in
+``data["calibration"]``. All points fan out through
+:func:`repro.runner.map_points` under per-task seeds — bit-identical
+output at any ``--workers`` count.
 """
 
 from __future__ import annotations
@@ -371,6 +373,7 @@ def run_diurnal(
     }
     if resolved != "des":
         data["engine"] = resolved
+        data["calibration"] = {"herd": chip_profiles}
         findings.append(
             f"engine={resolved}: calibrated-chip surrogate under common "
             "random numbers (ground truth: --engine des)"

@@ -22,7 +22,25 @@ from .common import (
     get_profile,
 )
 
-__all__ = ["run_fig8"]
+__all__ = ["fig8_loads", "run_fig8"]
+
+
+def fig8_loads(mean_service_ns: float, points: int) -> List[float]:
+    """Fig. 8's offered loads (MRPS): the capacity grid of 16/S̄ plus
+    two probe points just below the software dequeue ceiling.
+
+    Software saturates at the MCS ceiling (~1/serialized cost), so the
+    probes resolve its throughput under SLO instead of leaving it an
+    artifact of the grid.
+    """
+    from ..balancing import SoftwareSingleQueue
+
+    capacity_mrps = 16.0 / (mean_service_ns / 1e3)
+    software_ceiling_mrps = 1e3 / SoftwareSingleQueue().serialized_cost_ns
+    return sorted(
+        capacity_grid(capacity_mrps, points)
+        + [0.85 * software_ceiling_mrps, 0.95 * software_ceiling_mrps]
+    )
 
 
 def run_fig8(
@@ -38,17 +56,7 @@ def run_fig8(
     # four synthetic workloads share the same mean.
     mean_service = calibrate_mean_service_ns("synthetic-fixed", "1x16", seed)
     slo_ns = 10.0 * mean_service
-    capacity_mrps = 16.0 / (mean_service / 1e3)
-    # Software saturates at the MCS dequeue ceiling (~1/serialized
-    # cost); add probe points just below it so its throughput under
-    # SLO is resolved, not an artifact of the grid.
-    from ..balancing import SoftwareSingleQueue
-
-    software_ceiling_mrps = 1e3 / SoftwareSingleQueue().serialized_cost_ns
-    loads = sorted(
-        capacity_grid(capacity_mrps, prof.sweep_points)
-        + [0.85 * software_ceiling_mrps, 0.95 * software_ceiling_mrps]
-    )
+    loads = fig8_loads(mean_service, prof.sweep_points)
 
     # All 4 distributions × {hw, sw} fan out in one map_points call.
     systems: Dict[str, RpcValetSystem] = {}

@@ -6,25 +6,39 @@
 * outperforms software-based load distribution by 2.3–2.7×;
 * performs within 3–15% of the theoretically optimal 1×16 model.
 
-``engine="fast"`` (the default) re-measures the three scheme-vs-scheme
-claims on the :mod:`repro.fastpath` single-chip surrogates — FIFO
-service processes whose fixed per-RPC cost is calibrated against the
-DES (the Fig. 9 "Model" recipe) — while claim 4, which is *about* the
-DES, always runs on it. ``engine="des"`` reproduces the original
-all-DES measurement bit-for-bit.
+Claims 1-3 read the same sweeps on either engine — fig7c's 1x16/16x1
+(fixed, GEV) and fig8's hardware/software 1x16 over the four synthetic
+kinds — and one function does their arithmetic. ``engine="des"`` takes
+the sweeps from the fig7c and fig8 DES drivers, reproducing the
+original all-DES measurement bit-for-bit. ``engine="fast"`` (the
+default) runs every load point on :func:`repro.fastpath.fast_chip_point`
+with the DES-calibrated profile of each (workload, scheme), on the
+point seeds the DES sweeps draw, so fast and DES claims are paired
+through common random numbers; the profiles used are recorded in
+``data["calibration"]``. Claim 4 is *about* the DES and always runs on
+it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from ..metrics import format_table
+from ..dists import SYNTHETIC_KINDS
+from ..metrics import SweepResult, format_table
 from .common import ExperimentResult
 from .fig7 import run_fig7c
 from .fig8 import run_fig8
 from .fig9 import model_vs_simulation
 
 __all__ = ["run_headline"]
+
+#: Claims 1-2's synthetic kinds (GEV is the paper's max).
+CLAIM_KINDS = ("fixed", "gev")
+
+#: Sweeps keyed like the DES drivers label them ("1x16_gev",
+#: "fixed_hw", ...), and SLOs keyed by kind plus "fig8".
+_Sweeps = Dict[str, SweepResult]
+_Slos = Dict[str, float]
 
 
 def _sustained_tail_ratio(one_sweep, part_sweep) -> float:
@@ -45,94 +59,114 @@ def _sustained_tail_ratio(one_sweep, part_sweep) -> float:
     return max(ratios) if ratios else float("nan")
 
 
-def _claims_1_2_fast(
-    profile: str, seed: int, rows: List[List[object]], data: Dict[str, float]
-) -> None:
-    """Claims 1-2 via the fast tier, mirroring fig7c's recipe."""
-    from ..dists import synthetic
-    from ..fastpath import fast_scheme_sweep
+def _des_sweeps(
+    profile: str, seed: int, workers: Optional[int]
+) -> Tuple[_Sweeps, _Slos]:
+    """Claims 1-3's sweeps from the fig7c and fig8 DES drivers."""
+    fig7c = run_fig7c(profile, seed, kinds=CLAIM_KINDS, workers=workers)
+    fig8 = run_fig8(profile, seed, workers=workers)
+    sweeps = dict(fig8.data["sweeps"])
+    slos = {"fig8": fig8.data["slo_ns"]}
+    for kind in CLAIM_KINDS:
+        sweeps.update(fig7c.data["sweeps"][kind])
+        slos[kind] = fig7c.data[f"slo_ns_{kind}"]
+    return sweeps, slos
+
+
+def _fast_sweeps(
+    profile: str, seed: int
+) -> Tuple[_Sweeps, _Slos, Dict[str, Dict[str, Tuple[float, float]]]]:
+    """Claims 1-3's sweeps on the chip surrogate, with fig7c's and
+    fig8's load grids and SLOs, plus the calibration profiles used."""
+    from ..core.presets import make_workload
+    from ..fastpath import calibrated_chip_profile, fast_chip_point
+    from ..runner import spawn_point_seeds
     from .common import calibrate_mean_service_ns, capacity_grid, get_profile
+    from .fig8 import fig8_loads
 
     prof = get_profile(profile)
-    sweeps_by_kind = {}
-    for kind in ("fixed", "gev"):
-        workload = f"synthetic-{kind}"
-        # Same anchor as fig7c: S̄ measured on the DES 16x1 system.
-        mean_service = calibrate_mean_service_ns(workload, "16x1", seed)
-        capacity_mrps = 16.0 / (mean_service / 1e3)
-        loads = capacity_grid(capacity_mrps, prof.sweep_points)
-        slo_ns = 10.0 * mean_service
-        sweeps = {
-            scheme: fast_scheme_sweep(
-                scheme,
-                synthetic(kind),
-                loads,
-                prof.arch_requests,
-                seed,
-                mean_service,
-                label=f"{scheme}_{kind}",
-                experiment="fig7c",
+    sweeps: _Sweeps = {}
+    slos: _Slos = {}
+    calibration: Dict[str, Dict[str, Tuple[float, float]]] = {}
+
+    def sweep(label, experiment, key, scheme, workload, loads, calibrated):
+        """Run ``scheme`` on ``calibrated``'s profile, point by point on
+        the seeds of the DES sweep keyed ``(experiment, key)`` (see
+        :func:`repro.core.sweep_many`)."""
+        split = calibrated_chip_profile(calibrated, workload=workload)
+        calibration.setdefault(workload, {})[calibrated] = split
+        model = make_workload(workload)
+        loads = sorted(loads)
+        seeds = spawn_point_seeds(experiment, key, seed, len(loads))
+        points = [
+            fast_chip_point(
+                scheme, model, load, prof.arch_requests, point_seed, split
             )
-            for scheme in ("1x16", "16x1")
-        }
-        sweeps_by_kind[kind] = sweeps
-        one = sweeps["1x16"].throughput_under_slo(slo_ns)
-        partitioned = sweeps["16x1"].throughput_under_slo(slo_ns)
+            for load, point_seed in zip(loads, seeds)
+        ]
+        sweeps[label] = SweepResult(label=label, points=points)
+
+    for kind in CLAIM_KINDS:
+        workload = f"synthetic-{kind}"
+        # fig7c's anchor: S̄ measured on the DES 16x1 system.
+        mean_service = calibrate_mean_service_ns(workload, "16x1", seed)
+        loads = capacity_grid(16.0 / (mean_service / 1e3), prof.sweep_points)
+        slos[kind] = 10.0 * mean_service
+        for scheme in ("1x16", "16x1"):
+            label = f"{scheme}_{kind}"
+            sweep(label, "fig7c", scheme, scheme, workload, loads, scheme)
+
+    mean_service = calibrate_mean_service_ns("synthetic-fixed", "1x16", seed)
+    slos["fig8"] = 10.0 * mean_service
+    loads = fig8_loads(mean_service, prof.sweep_points)
+    for kind in SYNTHETIC_KINDS:
+        workload = f"synthetic-{kind}"
+        # Software 1x16 runs on hardware 1x16's profile; its tandem
+        # stage adds the MCS hand-off and the critical section.
+        for scheme, suffix in (("1x16", "hw"), ("sw-1x16", "sw")):
+            key = f"{kind}_{suffix}"
+            sweep(key, "fig8", key, scheme, workload, loads, "1x16")
+    return sweeps, slos, calibration
+
+
+def _claims_1_3(
+    sweeps: _Sweeps, slos: _Slos
+) -> Tuple[List[List[object]], Dict[str, object]]:
+    """Claims 1-3's table rows and data from either engine's sweeps."""
+    rows: List[List[object]] = []
+    data: Dict[str, object] = {}
+
+    # -- claim 1: up to 1.4x over 16x1 under SLO (GEV is the paper's max).
+    for kind in CLAIM_KINDS:
+        one = sweeps[f"1x16_{kind}"].throughput_under_slo(slos[kind])
+        partitioned = sweeps[f"16x1_{kind}"].throughput_under_slo(slos[kind])
         ratio = one / partitioned if partitioned > 0 else float("inf")
         data[f"tput_ratio_vs_16x1_{kind}"] = ratio
         paper = "1.2x" if kind == "fixed" else "1.4x"
         rows.append([f"1x16 vs 16x1 under SLO ({kind})", paper, f"{ratio:.2f}x"])
 
-    tail_ratio = _sustained_tail_ratio(
-        sweeps_by_kind["gev"]["1x16"], sweeps_by_kind["gev"]["16x1"]
-    )
+    # -- claim 2: up to 4x lower tail before saturation (GEV).
+    tail_ratio = _sustained_tail_ratio(sweeps["1x16_gev"], sweeps["16x1_gev"])
     data["tail_ratio_before_saturation"] = tail_ratio
     rows.append(
         ["16x1/1x16 p99 before saturation (gev)", "up to 4x", f"{tail_ratio:.2f}x"]
     )
 
-
-def _claim_3_fast(
-    profile: str, seed: int, rows: List[List[object]], data: Dict[str, float]
-) -> None:
-    """Claim 3 via the fast tier, mirroring fig8's recipe."""
-    from ..balancing import SoftwareSingleQueue
-    from ..dists import SYNTHETIC_KINDS, synthetic
-    from ..fastpath import fast_scheme_sweep
-    from .common import calibrate_mean_service_ns, capacity_grid, get_profile
-
-    prof = get_profile(profile)
-    mean_service = calibrate_mean_service_ns("synthetic-fixed", "1x16", seed)
-    slo_ns = 10.0 * mean_service
-    capacity_mrps = 16.0 / (mean_service / 1e3)
-    software_ceiling_mrps = 1e3 / SoftwareSingleQueue().serialized_cost_ns
-    loads = sorted(
-        capacity_grid(capacity_mrps, prof.sweep_points)
-        + [0.85 * software_ceiling_mrps, 0.95 * software_ceiling_mrps]
-    )
-    ratios: Dict[str, float] = {}
+    # -- claim 3: 2.3-2.7x over software (kinds where software ever
+    # meets the SLO).
+    ratios = []
     for kind in SYNTHETIC_KINDS:
-        hw_tput, sw_tput = (
-            fast_scheme_sweep(
-                scheme,
-                synthetic(kind),
-                loads,
-                prof.arch_requests,
-                seed,
-                mean_service,
-                label=f"{kind}_{suffix}",
-                experiment="fig8",
-            ).throughput_under_slo(slo_ns)
-            for scheme, suffix in (("1x16", "hw"), ("sw-1x16", "sw"))
-        )
-        ratios[kind] = hw_tput / sw_tput if sw_tput > 0 else float("inf")
-    finite = [ratio for ratio in ratios.values() if ratio != float("inf")]
-    if finite:
-        low, high = min(finite), max(finite)
+        sw_tput = sweeps[f"{kind}_sw"].throughput_under_slo(slos["fig8"])
+        if sw_tput > 0:
+            hw_tput = sweeps[f"{kind}_hw"].throughput_under_slo(slos["fig8"])
+            ratios.append(hw_tput / sw_tput)
+    if ratios:
+        low, high = min(ratios), max(ratios)
         data["sw_ratio_min"], data["sw_ratio_max"] = low, high
         rows.append(
             ["1x16 hw vs sw under SLO", "2.3-2.7x", f"{low:.2f}-{high:.2f}x"]
         )
+    return rows, data
 
 
 def run_headline(
@@ -143,66 +177,25 @@ def run_headline(
 ) -> ExperimentResult:
     """Measure each headline claim and report paper-vs-measured.
 
-    ``engine``: ``fast`` (default) measures the scheme-comparison
-    claims on the calibrated single-chip surrogates; ``des`` runs every
-    claim on the DES exactly as before. Claim 4 (model-vs-DES gap) is
-    always DES. Tolerance bands for the fast tier are documented in
-    EXPERIMENTS.md ("Engine tiers").
+    ``engine``: ``fast`` (default) measures claims 1-3 on the
+    calibrated single-chip surrogate under the DES sweeps' point seeds;
+    ``des`` runs every claim on the DES exactly as before. Claim 4
+    (model-vs-DES gap) is always DES. Tolerance bands for the fast
+    tier are documented in EXPERIMENTS.md ("Engine tiers").
     """
     from ..fastpath import resolve_engine
 
-    resolved = resolve_engine(engine, 1)
-    rows: List[List[object]] = []
-    data: Dict[str, float] = {}
-
-    if resolved == "des":
-        # -- claim 1: up to 1.4x over 16x1 under SLO (GEV is the paper's max).
-        fig7c = run_fig7c(profile, seed, kinds=("fixed", "gev"), workers=workers)
-        for kind in ("fixed", "gev"):
-            sweeps = fig7c.data["sweeps"][kind]
-            slo_ns = fig7c.data[f"slo_ns_{kind}"]
-            one = sweeps[f"1x16_{kind}"].throughput_under_slo(slo_ns)
-            partitioned = sweeps[f"16x1_{kind}"].throughput_under_slo(slo_ns)
-            ratio = one / partitioned if partitioned > 0 else float("inf")
-            data[f"tput_ratio_vs_16x1_{kind}"] = ratio
-            paper = "1.2x" if kind == "fixed" else "1.4x"
-            rows.append(
-                [f"1x16 vs 16x1 under SLO ({kind})", paper, f"{ratio:.2f}x"]
-            )
-
-        # -- claim 2: up to 4x lower tail before saturation (GEV).
-        sweeps = fig7c.data["sweeps"]["gev"]
-        tail_ratio = _sustained_tail_ratio(
-            sweeps["1x16_gev"], sweeps["16x1_gev"]
-        )
-        data["tail_ratio_before_saturation"] = tail_ratio
-        rows.append(
-            [
-                "16x1/1x16 p99 before saturation (gev)",
-                "up to 4x",
-                f"{tail_ratio:.2f}x",
-            ]
-        )
-
-        # -- claim 3: 2.3-2.7x over software.
-        fig8 = run_fig8(profile, seed, workers=workers)
-        ratios = fig8.data["ratios"]
-        finite = [ratio for ratio in ratios.values() if ratio != float("inf")]
-        if finite:
-            low, high = min(finite), max(finite)
-            data["sw_ratio_min"], data["sw_ratio_max"] = low, high
-            rows.append(
-                ["1x16 hw vs sw under SLO", "2.3-2.7x", f"{low:.2f}-{high:.2f}x"]
-            )
+    if resolve_engine(engine, 1) == "des":
+        sweeps, slos = _des_sweeps(profile, seed, workers)
+        calibration = None
     else:
-        # Fast tier: same recipes, calibrated surrogate queues.
-        _claims_1_2_fast(profile, seed, rows, data)
-        _claim_3_fast(profile, seed, rows, data)
+        sweeps, slos, calibration = _fast_sweeps(profile, seed)
+    rows, data = _claims_1_3(sweeps, slos)
 
     # -- claim 4: within 3-15% of the theoretical model (always DES —
     # the claim is about the DES itself).
     gaps = {}
-    for kind in ("fixed", "gev"):
+    for kind in CLAIM_KINDS:
         panel = model_vs_simulation(kind, profile, seed, workers=workers)
         gaps[kind] = panel["worst_gap"]
     data["model_gap_fixed"] = gaps["fixed"]
@@ -214,6 +207,8 @@ def run_headline(
             f"{gaps['fixed'] * 100:.0f}%/{gaps['gev'] * 100:.0f}%",
         ]
     )
+    if calibration is not None:
+        data["calibration"] = calibration
 
     table = format_table(
         ["claim", "paper", "measured"], rows, title="Headline claims"

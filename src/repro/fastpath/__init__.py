@@ -33,7 +33,7 @@ validity envelope of each tier are documented in EXPERIMENTS.md
 ("Engine tiers").
 """
 
-from .fastchip import calibrated_chip_profile, fast_chip_point, fast_scheme_sweep
+from .fastchip import calibrated_chip_profile, fast_chip_point
 from .fastcluster import calibrated_scheme_profile, simulate_rack_fast
 from .fluid import fluid_tail_measure, fluid_transient_measure, simulate_cluster_fluid
 from .select import (
@@ -55,7 +55,6 @@ __all__ = [
     "calibrated_scheme_profile",
     "engine_supports",
     "fast_chip_point",
-    "fast_scheme_sweep",
     "fluid_tail_measure",
     "fluid_transient_measure",
     "required_capabilities",

@@ -1,14 +1,13 @@
-"""Vectorized single-chip surrogates for the headline sweeps.
+"""The vectorized single-chip surrogate: one load point per call.
 
-The headline run re-measures four paper claims; three of them are
-throughput/tail comparisons between balancing schemes, each a full
-architectural DES sweep. This module replaces those sweeps with the
-queueing-theoretic surrogate the repo already trusts for Fig. 9's
-"Model" series: a FIFO service process with the workload's processing
-distribution plus a *calibrated* fixed part (measured S̄ minus
-processing mean, the exact recipe of
-:func:`repro.experiments.fig9.model_vs_simulation`), simulated by
-``fastsim``'s O(n log c) loop instead of the per-event kernel.
+:func:`fast_chip_point` collapses the chip to a FIFO service process:
+every RPC pays its workload processing time plus a *calibrated* fixed
+occupancy, and its sojourn gains a calibrated latency shift. The
+queues are simulated by ``fastsim``'s O(n log c) loop instead of the
+per-event NI pipeline. It draws the DES system's own named RNG streams,
+so for a given point seed both engines see identical arrivals, service
+draws and core picks (common random numbers) and differ only in the
+queueing model.
 
 Scheme surrogates:
 
@@ -20,37 +19,40 @@ Scheme surrogates:
   ceiling), feeding 16 servers that each pay the post-dequeue critical
   section on top of the RPC's service time.
 
-Fig. 9's model-vs-simulation claim is *about* the DES and always runs
-on it; these surrogates only stand in for scheme-vs-scheme ratios,
-within the tolerance bands in EXPERIMENTS.md.
+:func:`calibrated_chip_profile` measures each hardware scheme's
+``(occupancy_ns, shift_ns)`` on the DES with one recipe for every
+scheme and workload. ``headline`` (claims 1-3) and ``ext-diurnal`` run
+on this surrogate; Fig. 9's model-vs-simulation claim is *about* the
+DES and always runs on it. Tolerance bands are in EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ..balancing.software import DEFAULT_CRITICAL_NS
 from ..balancing import SoftwareSingleQueue
-from ..dists import Distribution
-from ..metrics import LatencySummary, SweepPoint, SweepResult
-from ..queueing.fastsim import poisson_arrivals, simulate_fifo_queue, spray_departures
+from ..metrics import LatencySummary, SweepPoint
+from ..queueing.fastsim import simulate_fifo_queue, spray_departures
 from ..runner import task_seed
 from .calibration import bisect_occupancy
 
 __all__ = [
     "calibrated_chip_profile",
-    "fast_scheme_sweep",
     "fast_chip_point",
 ]
 
 _TOTAL_CORES = 16
 
-#: Mid-load probe for the single-chip occupancy split (~0.8x the HERD
-#: capacity of one 16-core chip — the regime the shaped sweeps peak in).
-_CHIP_PROBE_MRPS = 23.0
+#: Light-load probe rate: queueing is negligible at ~7% utilization on
+#: the heaviest (synthetic, S̄ ≈ 1.2µs) workload.
+_LIGHT_PROBE_MRPS = 1.0
+#: Mid-load probe as a fraction of capacity 16/S̄ — the regime the
+#: SLO comparisons are decided in, still below saturation.
+_MID_PROBE_FRACTION = 0.8
 _CHIP_PROBE_REQUESTS = 1500
 
 
@@ -95,7 +97,7 @@ def _scheme_departures(
 
 @lru_cache(maxsize=None)
 def calibrated_chip_profile(
-    scheme: str, probe_seed: int = 0
+    scheme: str, probe_seed: int = 0, workload: str = "herd"
 ) -> Tuple[float, float]:
     """DES-anchored ``(occupancy_ns, shift_ns)`` for one single chip.
 
@@ -103,38 +105,38 @@ def calibrated_chip_profile(
     :func:`~repro.fastpath.fastcluster.calibrated_scheme_profile`,
     anchored against ``make_system`` (the NI + chip DES) instead of the
     rack cluster — the two pipelines pay different overheads, so the
-    rack split does not transfer.
+    rack split does not transfer. The same three steps run for every
+    hardware scheme and ``make_system`` workload:
 
-    A light-load DES probe (1 MRPS, where queueing is negligible)
-    measures the total per-RPC latency overhead L = mean sojourn minus
-    mean processing. For ``1x16`` all of L occupies the shared
-    16-server queue (occupancy = L, shift = 0; the DES cross-checks in
-    the agreement tests confirm the split is insensitive there). For
-    ``16x1`` the per-core FIFOs are very sensitive to occupancy, so a
-    second mid-load probe (:data:`_CHIP_PROBE_MRPS`) anchors the split:
-    bisect the occupancy until :func:`fast_chip_point` reproduces the
-    probe's mean sojourn on the identical scenario, and book the
-    remainder of L as a pure latency shift. Cached per
-    ``(scheme, probe_seed)``: one diurnal sweep pays for two probes.
+    1. a light-load DES probe (:data:`_LIGHT_PROBE_MRPS`, where
+       queueing is negligible) measures the per-RPC latency overhead
+       L = mean sojourn minus mean processing, both of the SLO class
+       (the class the summaries report), and the chip's S̄;
+    2. a mid-load DES probe at :data:`_MID_PROBE_FRACTION` of capacity
+       16/S̄ gives the target mean sojourn (S̄ comes from step 1, so
+       the probe load follows the workload);
+    3. :func:`~repro.fastpath.calibration.bisect_occupancy` splits L:
+       the occupancy (added to every service time) for which
+       :func:`fast_chip_point` reproduces the target on the probe's
+       own seed, the rest booked as a pure latency shift (NI pipeline
+       stages overlapped with other requests).
+
+    Cached per ``(scheme, probe_seed, workload)``.
     """
     from ..core import make_system
-    from ..workloads import HerdWorkload
 
-    workload = HerdWorkload()
-    system = make_system(scheme, "herd", seed=probe_seed)
-    light = system.run_point(
-        1.0, num_requests=_CHIP_PROBE_REQUESTS, warmup_fraction=0.1
+    light = make_system(scheme, workload, seed=probe_seed).run_point(
+        _LIGHT_PROBE_MRPS,
+        num_requests=_CHIP_PROBE_REQUESTS,
+        warmup_fraction=0.1,
     )
-    overhead = max(
-        light.point.summary.mean - workload.mean_processing_ns, 0.0
-    )
-    if scheme == "1x16":
-        return overhead, 0.0
-
     mid_seed = task_seed("fastchip-probe", scheme, 0, probe_seed)
-    probe_system = make_system(scheme, "herd", seed=mid_seed)
+    probe_system = make_system(scheme, workload, seed=mid_seed)
+    model = probe_system.workload
+    overhead = max(light.point.summary.mean - model.slo_mean_processing_ns, 0.0)
+    probe_mrps = _MID_PROBE_FRACTION * _TOTAL_CORES / light.mean_service_ns * 1e3
     target = probe_system.run_point(
-        _CHIP_PROBE_MRPS,
+        probe_mrps,
         num_requests=_CHIP_PROBE_REQUESTS,
         warmup_fraction=0.1,
     ).point.summary.mean
@@ -142,8 +144,8 @@ def calibrated_chip_profile(
     def engine_mean(occupancy: float) -> float:
         point = fast_chip_point(
             scheme,
-            workload,
-            _CHIP_PROBE_MRPS,
+            model,
+            probe_mrps,
             _CHIP_PROBE_REQUESTS,
             mid_seed,
             (occupancy, overhead - occupancy),
@@ -165,17 +167,17 @@ def fast_chip_point(
 ) -> SweepPoint:
     """One single-chip load point under an arbitrary arrival process.
 
-    The shaped-load counterpart of :func:`fast_scheme_sweep`, built for
-    ``ext-diurnal``'s ``engine="fast"`` path. It consumes the *same*
-    named RNG streams as the DES system (``"arrivals"`` for the gap
-    batch — through the process's own ``sample_gaps`` — ``"service"``
-    for the workload batch, and ``"group_spray"`` for 16x1's
-    per-message core picks, exactly as the DES chip sprays), so for a
-    given ``seed`` the fast tier sees bit-identical arrival times,
-    service draws, and core assignments to the DES run it stands in
-    for: the engines differ only in the queueing model (calibrated
-    FIFO vs per-event NI pipeline), which is what keeps the agreement
-    bands tight under diurnal/flash/population shapes.
+    The only chip surrogate: ``headline``'s fast sweeps call it once
+    per load point on the DES sweeps' own point seeds, and
+    ``ext-diurnal`` with shaped arrival processes. It consumes the
+    *same* named RNG streams as the DES system (``"arrivals"`` for the
+    gap batch — through the process's own ``sample_gaps`` —
+    ``"service"`` for the workload batch, and ``"group_spray"`` for
+    4x4/16x1's per-message core picks, exactly as the DES chip
+    sprays), so for a given ``seed`` the fast tier sees bit-identical
+    arrival times, service draws, and core assignments to the DES run
+    it stands in for: the engines differ only in the queueing model
+    (calibrated FIFO vs per-event NI pipeline).
 
     ``profile`` is the ``(occupancy_ns, shift_ns)`` split from
     :func:`calibrated_chip_profile`: occupancy is added to every
@@ -228,50 +230,3 @@ def fast_chip_point(
             "stall_fraction": 0.0,
         },
     )
-
-
-def fast_scheme_sweep(
-    scheme: str,
-    processing: Distribution,
-    loads_mrps: Sequence[float],
-    num_requests: int,
-    seed: int,
-    mean_service_ns: float,
-    label: str,
-    experiment: str = "fastchip",
-    warmup_fraction: float = 0.1,
-) -> SweepResult:
-    """Sweep one scheme surrogate over offered loads (MRPS).
-
-    ``mean_service_ns`` is the DES-calibrated effective service time;
-    the surrogate adds ``mean_service_ns - processing.mean`` of fixed
-    per-RPC cost to every sampled processing time. Each load point
-    draws its RNG from the same ``task_seed`` discipline as the DES
-    sweeps, so results are bit-identical at any worker count.
-    """
-    fixed_ns = mean_service_ns - processing.mean
-    if fixed_ns < 0:
-        raise ValueError(
-            f"calibrated mean {mean_service_ns!r} below processing mean "
-            f"{processing.mean!r}"
-        )
-    points = []
-    for index, load in enumerate(loads_mrps):
-        rng = np.random.default_rng(task_seed(experiment, label, index, seed))
-        rate_per_ns = load * 1e-3
-        arrivals = poisson_arrivals(rng, rate_per_ns, num_requests)
-        services = processing.sample_array(rng, num_requests) + fixed_ns
-        departures = _scheme_departures(scheme, arrivals, services, rng)
-        sojourns = departures - arrivals
-        skip = int(num_requests * warmup_fraction)
-        # Achieved throughput mirrors the DES exactly: warmup cutoff is
-        # the completion-time quantile.
-        cutoff = float(np.quantile(departures, warmup_fraction))
-        points.append(
-            SweepPoint(
-                offered_load=float(load),
-                achieved_throughput=_achieved_mrps(departures, cutoff),
-                summary=LatencySummary.from_values(sojourns[skip:]),
-            )
-        )
-    return SweepResult(label=label, points=points)

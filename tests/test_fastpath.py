@@ -15,7 +15,6 @@ from repro.faults.plan import FabricDegradation, NodeCrash
 from repro.fastpath import (
     DEFAULT_FLUID_THRESHOLD,
     ENGINES,
-    fast_scheme_sweep,
     fluid_tail_measure,
     resolve_engine,
     simulate_cluster_fluid,
@@ -422,32 +421,6 @@ class TestFastDeterminism:
         b = simulate_rack_fast(4, policy="random", requests_per_node=800, seed=1)
         assert a.aggregate.mean != b.aggregate.mean
 
-    def test_fast_sweep_worker_count_invariant(self):
-        """fast_scheme_sweep seeds per (experiment, label, index), so the
-        points are independent of any fan-out — recomputing one point in
-        isolation must reproduce the full-sweep value bit-for-bit."""
-        from repro.dists import synthetic
-
-        loads = [4.0, 8.0, 12.0]
-        full = fast_scheme_sweep(
-            "1x16", synthetic("fixed"), loads, 2_000, 0, 700.0, label="one"
-        )
-        lone = fast_scheme_sweep(
-            "1x16", synthetic("fixed"), loads[1:2], 2_000, 0, 700.0, label="one"
-        )
-        # Index participates in the seed: point 1 recomputed as index 0
-        # differs, the full sweep re-run matches.
-        again = fast_scheme_sweep(
-            "1x16", synthetic("fixed"), loads, 2_000, 0, 700.0, label="one"
-        )
-        for mine, theirs in zip(full.points, again.points):
-            assert mine.summary.p99 == theirs.summary.p99
-            assert mine.achieved_throughput == theirs.achieved_throughput
-        assert (
-            lone.points[0].achieved_throughput
-            != full.points[1].achieved_throughput
-        )
-
 
 class TestDesFastEquivalence:
     """Tolerance bands from EXPERIMENTS.md ("Engine tiers"): the fast
@@ -546,27 +519,96 @@ class TestFluidTier:
 
 
 class TestFastChipAchieved:
+    # Synthetic fixed: 600ns processing + 100ns occupancy, so capacity
+    # is 16 / 0.7µs ~ 22.9 MRPS.
+    PROFILE = (100.0, 0.0)
+
+    def _point(self, offered_mrps):
+        from repro.fastpath import fast_chip_point
+        from repro.workloads import SyntheticWorkload
+
+        return fast_chip_point(
+            "1x16", SyntheticWorkload("fixed"), offered_mrps, 20_000, 0,
+            self.PROFILE,
+        )
+
     def test_stable_load_tracks_offered(self):
         """The DES-mirroring achieved metric must report ~offered load
         for a clearly stable point (this gate drives the headline run's
         sustained-tail filter)."""
-        from repro.dists import synthetic
-
-        sweep = fast_scheme_sweep(
-            "1x16", synthetic("fixed"), [8.0], 20_000, 0, 600.0, label="s"
-        )
-        point = sweep.points[0]
+        point = self._point(8.0)
         assert point.achieved_throughput == pytest.approx(8.0, rel=0.05)
 
     def test_saturated_load_capped(self):
-        from repro.dists import synthetic
-
-        # Capacity is 16 / 0.6us ~ 26.7 MRPS; offer 40.
-        sweep = fast_scheme_sweep(
-            "1x16", synthetic("fixed"), [40.0], 20_000, 0, 600.0, label="s"
-        )
-        point = sweep.points[0]
+        point = self._point(40.0)
         assert point.achieved_throughput < 0.9 * 40.0
+
+
+class TestHeadlineTiers:
+    """``run_headline`` on the chip surrogate against ``--engine des``
+    at smoke, seed 0 (EXPERIMENTS.md "Engine tiers")."""
+
+    KEYS = (
+        "tput_ratio_vs_16x1_fixed",
+        "tput_ratio_vs_16x1_gev",
+        "tail_ratio_before_saturation",
+        "sw_ratio_min",
+        "sw_ratio_max",
+    )
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        """Both engines' results plus the (workload, load, seed) of
+        every point each simulated."""
+        import repro.fastpath
+        from repro.core import system as core_system
+        from repro.experiments.headline import run_headline
+
+        des_points, fast_points = [], []
+        run_point_task = core_system.run_point_task
+        fast_chip_point = repro.fastpath.fast_chip_point
+
+        def des_spy(task):
+            system, load, _requests, _warmup, seed = task
+            des_points.append((system.workload.name, load, seed))
+            return run_point_task(task)
+
+        def fast_spy(scheme, workload, load, requests, seed, profile):
+            fast_points.append((workload.name, load, seed))
+            return fast_chip_point(scheme, workload, load, requests, seed, profile)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core_system, "run_point_task", des_spy)
+            patch.setattr(repro.fastpath, "fast_chip_point", fast_spy)
+            fast = run_headline("smoke", seed=0, workers=1, engine="fast")
+            des = run_headline("smoke", seed=0, workers=1, engine="des")
+        return fast, des, fast_points, des_points
+
+    def test_claims_within_five_percent_of_des(self, runs):
+        fast, des, _, _ = runs
+        for key in self.KEYS:
+            assert fast.data[key] == pytest.approx(des.data[key], rel=0.05), key
+
+    def test_fast_points_ride_the_des_point_seeds(self, runs):
+        """Every fast point runs the workload, load and seed of a DES
+        sweep point (common random numbers), so a claim's fast-vs-DES
+        delta is engine error, not sampling noise."""
+        _, _, fast_points, des_points = runs
+        assert len(fast_points) == 2 * 2 * 5 + 4 * 2 * 7
+        assert set(fast_points) <= set(des_points)
+
+    def test_calibration_recorded_on_fast_only(self, runs):
+        fast, des, _, _ = runs
+        assert "calibration" not in des.data
+        calibration = fast.data["calibration"]
+        assert set(calibration) == {
+            "synthetic-fixed", "synthetic-gev", "synthetic-uniform",
+            "synthetic-exponential",
+        }
+        assert set(calibration["synthetic-gev"]) == {"1x16", "16x1"}
+        for splits in calibration.values():
+            for occupancy, shift in splits.values():
+                assert occupancy > 0 and shift >= 0
 
 
 class TestScaleDriver:

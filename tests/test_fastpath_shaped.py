@@ -109,6 +109,44 @@ class TestFastChipShaped:
         assert shaped.summary.p99 > flat.summary.p99
 
 
+class TestFastChipDesAgreement:
+    """Paired band near capacity: ``fast_chip_point`` against
+    ``make_system(...).run_point`` on the same point seeds (common
+    random numbers) at 0.9·C, C = 16/S̄, for every hardware scheme, a
+    heavy-tailed workload and a multi-class one. The mean signed p99
+    error over the seeds stays within 5%."""
+
+    SEEDS = (1, 2, 3, 4)
+    REQUESTS = 8_000
+
+    @pytest.mark.parametrize(
+        "workload, scheme",
+        [
+            ("herd", "1x16"),
+            ("herd", "4x4"),
+            ("herd", "16x1"),
+            ("synthetic-gev", "1x16"),
+            # The SLO class (gets) alone sets Masstree's overhead.
+            ("masstree", "1x16"),
+        ],
+    )
+    def test_p99_within_five_percent_at_0_9_capacity(self, workload, scheme):
+        from repro.core import make_system
+        from repro.experiments.common import calibrate_mean_service_ns
+
+        load = 0.9 * 16 / calibrate_mean_service_ns(workload, "16x1", 0) * 1e3
+        profile = calibrated_chip_profile(scheme, workload=workload)
+        errors = []
+        for seed in self.SEEDS:
+            system = make_system(scheme, workload, seed=seed)
+            des = system.run_point(load, num_requests=self.REQUESTS).point
+            fast = fast_chip_point(
+                scheme, system.workload, load, self.REQUESTS, seed, profile
+            )
+            errors.append(fast.summary.p99 / des.summary.p99 - 1.0)
+        assert abs(np.mean(errors)) <= 0.05, errors
+
+
 class TestFastChipSloClass:
     """Like ``RpcValetSystem.run_point``, the fast chip point summarizes
     the SLO class only; the warm-up cutoff and the throughput count

@@ -434,3 +434,9 @@ class TestDiurnalExperiment:
             ]
         assert len(serial.data["sweeps"]) == 6
         assert serial.findings
+        # The calibration each scheme's surrogate ran on rides in data.
+        from repro.fastpath import calibrated_chip_profile
+
+        assert serial.data["calibration"] == {
+            "herd": {s: calibrated_chip_profile(s) for s in ("1x16", "16x1")}
+        }
